@@ -16,6 +16,7 @@ import json
 import os
 import statistics
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -180,9 +181,7 @@ def cmd_estimate(args):
 def cmd_pvalue(args):
     arr, source = _get_sample(args)
     res = estimate(arr, _get_config(args))
-    fixed = EstimateConfig(
-        cutoffs=res.cutoffs, kmax=args.kmax, lmax=args.lmax, transform=args.transform
-    )
+    fixed = replace(res.config, cutoffs=res.cutoffs)
     cache_used = False
     if args.null_cache and os.path.exists(args.null_cache):
         table = load_null_table(args.null_cache, n=arr.shape[0], config=fixed)

@@ -12,9 +12,10 @@ an inner bootstrap layer.
 import hashlib
 import json
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -163,9 +164,7 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
         raise ConfigError("need at least 2 replicates in each layer")
     cfg = config if config is not None else EstimateConfig()
     base = estimate(arr, cfg)
-    fixed = EstimateConfig(
-        cutoffs=base.cutoffs, kmax=cfg.kmax, lmax=cfg.lmax, transform=cfg.transform
-    )
+    fixed = replace(cfg, cutoffs=base.cutoffs)
     ranks0 = pseudo_observations(arr).ranks
 
     def inner_se(rk, path):
@@ -217,9 +216,7 @@ def significance(sample, m=1000, level=0.95, config=None, seed=0, threads=1):
     arr = as_sample(sample)
     cfg = config if config is not None else EstimateConfig()
     base = estimate(arr, cfg)
-    fixed = EstimateConfig(
-        cutoffs=base.cutoffs, kmax=cfg.kmax, lmax=cfg.lmax, transform=cfg.transform
-    )
+    fixed = replace(cfg, cutoffs=base.cutoffs)
     table = null_table(arr.shape[0], m, fixed, seed=seed, threads=threads)
     return SignificanceResult(
         estimate=base,
@@ -230,7 +227,12 @@ def significance(sample, m=1000, level=0.95, config=None, seed=0, threads=1):
 
 
 def save_null_table(table, path):
-    """Write a null table as a versioned JSON artifact."""
+    """Write a null table as a versioned JSON artifact.
+
+    The document goes to a temporary file in the target's directory, which
+    then replaces the target, so a failed write leaves any previous table
+    intact.
+    """
     doc = {
         "magic": _MAGIC,
         "format_version": _FORMAT_VERSION,
@@ -240,8 +242,14 @@ def save_null_table(table, path):
         "key": table.key,
         "draws": [float(v) for v in table.draws],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _config_from_echo(echo):
@@ -262,16 +270,26 @@ def load_null_table(path, n=None, config=None):
     by a different version are rejected rather than silently reused.
     """
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("magic") != _MAGIC or doc.get("format_version") != _FORMAT_VERSION:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text encoding
+            raise CacheMismatchError(f"{path} is not valid JSON: {exc}") from None
+    if (
+        not isinstance(doc, dict)
+        or doc.get("magic") != _MAGIC
+        or doc.get("format_version") != _FORMAT_VERSION
+    ):
         raise CacheMismatchError(f"{path} is not a recognized null-table artifact")
-    cfg = _config_from_echo(doc["config"])
-    table = NullTable(
-        n=int(doc["n"]),
-        draws=np.asarray(doc["draws"]),
-        config=cfg,
-        seed=int(doc["seed"]),
-    )
+    try:
+        cfg = _config_from_echo(doc["config"])
+        table = NullTable(
+            n=int(doc["n"]),
+            draws=np.asarray(doc["draws"]),
+            config=cfg,
+            seed=int(doc["seed"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CacheMismatchError(f"{path} is a malformed null-table artifact: {exc!r}") from None
     if doc.get("key") != table.key:
         raise CacheMismatchError("cached table was built by a different code version")
     if n is not None and table.n != int(n):

@@ -1,11 +1,13 @@
 """Pseudo-observations and exact nearest-neighbour distances.
 
 Raw samples are reduced to their column ranks, giving points in the open unit
-square; every later stage sees only those ranks. Nearest-neighbour distances
-come from either a brute-force O(n^2) scan or a bucket-grid search; the two
-agree bit-for-bit because the grid path evaluates the same float expression
-on a candidate superset and the minimum over a superset containing the row
-minimum is the row minimum.
+square; every later stage sees only those ranks. First and second
+nearest-neighbour distances come from a brute-force O(n^2) scan below
+n = 1024 and from a k-d tree (``scipy.spatial.cKDTree``) at and above it.
+Both paths are exact, and the tests pin the tree's distances to the brute
+scan's bit for bit. Where a point's two nearest neighbours are equidistant
+the two paths may name different neighbours; the cross-validation term that
+reads the index is then multiplied by second - first = 0.
 """
 
 from dataclasses import dataclass
@@ -15,8 +17,9 @@ import numpy as np
 from .errors import SizeError
 from .rng import substream
 
-# brute force is faster below this size and serves as the oracle above it
-_GRID_MIN_N = 1024
+# inputs of this size and larger go to the k-d tree; smaller ones stay on the
+# brute scan, which also keeps them clear of the scipy.spatial import
+_TREE_MIN_N = 1024
 
 
 def as_sample(x):
@@ -66,17 +69,6 @@ def pseudo_observations(sample, jitter_seed=None):
 
 
 @dataclass(frozen=True)
-class NNDistances:
-    """Distance from each point to its nearest other point."""
-
-    values: np.ndarray
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class TwoNearest:
     """First and second nearest-neighbour distances, plus the first's index.
 
@@ -88,9 +80,6 @@ class TwoNearest:
     index: np.ndarray
     values: np.ndarray
     second: np.ndarray
-
-    def nn(self):
-        return NNDistances(self.values)
 
 
 def _check_points(points):
@@ -116,143 +105,26 @@ def _two_nearest_brute(pts):
     return idx1, b1, b2
 
 
-def _grid_cells(pts, m):
-    cells = np.zeros((pts.shape[0], 2), dtype=np.int64)
-    spans = np.empty(2)
-    lo = pts.min(axis=0)
-    for j in (0, 1):
-        width = pts[:, j].max() - lo[j]
-        spans[j] = width / m if width > 0 else 1.0
-        if width > 0:
-            cells[:, j] = np.minimum(((pts[:, j] - lo[j]) / spans[j]).astype(np.int64), m - 1)
-    return cells, spans
+def _two_nearest_tree(pts):
+    # scipy.spatial costs ~0.1 s to import, so only inputs that reach the tree pay it
+    from scipy.spatial import cKDTree
 
-
-def _two_nearest_grid(pts):
     n = pts.shape[0]
-    x, y = pts[:, 0], pts[:, 1]
-    m = max(1, int(np.ceil(np.sqrt(n))))
-    cells, spans = _grid_cells(pts, m)
-    cell_id = cells[:, 0] * m + cells[:, 1]
-    order = np.argsort(cell_id, kind="stable")
-    counts = np.bincount(cell_id, minlength=m * m)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-
-    rows_all, cand_all = [], []
-    for ox in (-1, 0, 1):
-        for oy in (-1, 0, 1):
-            ncx = cells[:, 0] + ox
-            ncy = cells[:, 1] + oy
-            vi = np.flatnonzero((ncx >= 0) & (ncx < m) & (ncy >= 0) & (ncy < m))
-            nc = ncx[vi] * m + ncy[vi]
-            cnt = counts[nc]
-            keep = cnt > 0
-            vi, nc, cnt = vi[keep], nc[keep], cnt[keep]
-            cum = np.concatenate(([0], np.cumsum(cnt)))
-            local = np.arange(cum[-1]) - np.repeat(cum[:-1], cnt)
-            rows_all.append(np.repeat(vi, cnt))
-            cand_all.append(order[np.repeat(starts[nc], cnt) + local])
-    rows = np.concatenate(rows_all)
-    cand = np.concatenate(cand_all)
-    keep = rows != cand
-    rows, cand = rows[keep], cand[keep]
-    dx = x[rows] - x[cand]
-    dy = y[rows] - y[cand]
-    d2 = dx * dx + dy * dy
-
-    srt = np.lexsort((d2, rows))
-    rows_s, cand_s, d2_s = rows[srt], cand[srt], d2[srt]
-    first = np.concatenate(([True], rows_s[1:] != rows_s[:-1]))
-    fpos = np.flatnonzero(first)
-    got = rows_s[fpos]
-
-    b1 = np.full(n, np.inf)
-    b2 = np.full(n, np.inf)
-    idx1 = np.zeros(n, dtype=np.int64)
-    b1[got] = d2_s[fpos]
-    idx1[got] = cand_s[fpos]
-    # a second candidate exists when the next sorted entry is the same row
-    spos = fpos + 1
-    has2 = spos < rows_s.size
-    has2[has2] = rows_s[spos[has2]] == got[has2]
-    b2[got[has2]] = d2_s[spos[has2]]
-
-    # beyond the 3x3 block every candidate is at least one cell side away
-    bound = min(spans[0], spans[1])
-    unsettled = np.flatnonzero(b2 > bound * bound)
-    for i in unsettled:
-        k = 2
-        while True:
-            x0, x1 = max(cells[i, 0] - k, 0), min(cells[i, 0] + k, m - 1)
-            y0, y1 = max(cells[i, 1] - k, 0), min(cells[i, 1] + k, m - 1)
-            block = []
-            for cxx in range(x0, x1 + 1):
-                base = cxx * m
-                block.append(order[starts[base + y0]:starts[base + y1 + 1]])
-            cj = np.concatenate(block)
-            cj = cj[cj != i]
-            if cj.size >= 2 or (cj.size == n - 1):
-                dxi = x[i] - x[cj]
-                dyi = y[i] - y[cj]
-                d2i = dxi * dxi + dyi * dyi
-                top = np.sort(np.partition(d2i, 1)[:2]) if d2i.size > 1 else np.array([d2i[0], np.inf])
-                j1 = cj[np.argmin(d2i)]
-                full_cover = x0 == 0 and y0 == 0 and x1 == m - 1 and y1 == m - 1
-                if top[1] <= (k * bound) ** 2 or full_cover:
-                    b1[i], b2[i] = top[0], top[1]
-                    idx1[i] = j1
-                    break
-            elif x0 == 0 and y0 == 0 and x1 == m - 1 and y1 == m - 1:
-                # n == 2: a single neighbour is all there is
-                dxi = x[i] - x[cj]
-                dyi = y[i] - y[cj]
-                b1[i] = (dxi * dxi + dyi * dyi)[0]
-                idx1[i] = cj[0]
-                break
-            k += 1
-    return idx1, np.sqrt(b1), np.sqrt(b2)
+    dist, idx = cKDTree(pts).query(pts, k=3)
+    # drop the point itself; where coincident copies crowd it out of the three
+    # returned, all three are at distance 0 and dropping the first is as good
+    drop = (idx == np.arange(n)[:, None]).argmax(axis=1)
+    keep = np.arange(3) != drop[:, None]
+    # contiguous columns: np.dot rounds a strided view differently
+    d1, d2 = np.ascontiguousarray(dist[keep].reshape(n, 2).T)
+    return idx[keep].reshape(n, 2)[:, 0], d1, d2
 
 
-def two_nearest_neighbors(points, method="auto"):
+def two_nearest_neighbors(points):
     """Exact first and second nearest-neighbour distances for 2-d points."""
     pts = _check_points(points)
-    if method == "brute" or (method == "auto" and pts.shape[0] < _GRID_MIN_N):
-        idx1, b1, b2 = _two_nearest_brute(pts)
-        return TwoNearest(index=idx1, values=np.sqrt(b1), second=np.sqrt(b2))
-    idx1, d1, d2 = _two_nearest_grid(pts)
-    return TwoNearest(index=idx1, values=d1, second=d2)
-
-
-def nn_distances_brute(points):
-    """O(n^2) nearest-neighbour distances; the reference oracle."""
-    pts = _check_points(points)
-    _, b1, _ = _two_nearest_brute(pts)
-    return NNDistances(np.sqrt(b1))
-
-
-def nn_distances_grid(points):
-    """Bucket-grid nearest-neighbour distances; equals the oracle exactly."""
-    pts = _check_points(points)
-    _, d1, _ = _two_nearest_grid(pts)
-    return NNDistances(d1)
-
-
-def nn_distances(points):
-    """Exact nearest-neighbour distances, picking the faster path by size."""
-    pts = _check_points(points)
-    if pts.shape[0] < _GRID_MIN_N:
-        return nn_distances_brute(pts)
-    return nn_distances_grid(pts)
-
-
-def loo_nn_distances(points, excluded):
-    """Nearest-neighbour distances of the n-1 retained points when one point
-    is removed, in original order."""
-    pts = _check_points(points)
-    n = pts.shape[0]
-    if n < 3:
-        raise SizeError("leave-one-out distances need at least 3 points")
-    if not 0 <= excluded < n:
-        raise SizeError(f"excluded index {excluded} out of range")
-    keep = np.arange(n) != excluded
-    return nn_distances(pts[keep])
+    if pts.shape[0] >= _TREE_MIN_N:
+        idx1, d1, d2 = _two_nearest_tree(pts)
+        return TwoNearest(index=idx1, values=d1, second=d2)
+    idx1, b1, b2 = _two_nearest_brute(pts)
+    return TwoNearest(index=idx1, values=np.sqrt(b1), second=np.sqrt(b2))

@@ -32,9 +32,9 @@ from hellcorr.inference import (
     significance,
 )
 from hellcorr.ranks_nn import (
-    loo_nn_distances,
-    nn_distances_brute,
-    nn_distances_grid,
+    TwoNearest,
+    _two_nearest_brute,
+    _two_nearest_tree,
     pseudo_observations,
     two_nearest_neighbors,
 )
@@ -143,7 +143,7 @@ def test_06_space_filling_trends(capsys):
 
 def test_07_fast_paths_equal_reference(capsys):
     rng = np.random.default_rng(77)
-    worst_nn = 0.0
+    worst_nn = worst_second = 0.0
     for case in range(1000):
         n = int(rng.integers(3, 120))
         style = case % 3
@@ -154,9 +154,10 @@ def test_07_fast_paths_equal_reference(capsys):
         else:
             base = rng.random((max(n // 3, 1), 2))
             pts = base[rng.integers(0, len(base), n)]
-        b = nn_distances_brute(pts).values
-        g = nn_distances_grid(pts).values
-        worst_nn = max(worst_nn, float(np.max(np.abs(b - g))))
+        _, b1, b2 = _two_nearest_brute(pts)
+        _, t1, t2 = _two_nearest_tree(pts)
+        worst_nn = max(worst_nn, float(np.max(np.abs(np.sqrt(b1) - t1))))
+        worst_second = max(worst_second, float(np.max(np.abs(np.sqrt(b2) - t2))))
 
     pts = rng.random((30, 2))
     v = rng.random(30)
@@ -182,20 +183,26 @@ def test_07_fast_paths_equal_reference(capsys):
         for L in range(5)
     )
 
+    # second[i] is the nearest-neighbour distance of point i once index[i]
+    # is removed: the identity the cross-validation shortcut relies on
     pts2 = rng.random((70, 2))
-    worst_loo = max(
-        float(np.max(np.abs(loo_nn_distances(pts2, i).values
-                            - nn_distances_brute(np.delete(pts2, i, axis=0)).values)))
-        for i in (0, 33, 69)
-    )
+    worst_loo = 0.0
+    for nn in (two_nearest_neighbors(pts2), TwoNearest(*_two_nearest_tree(pts2))):
+        for i in range(70):
+            j = nn.index[i]
+            _, b1, _ = _two_nearest_brute(np.delete(pts2, j, axis=0))
+            worst_loo = max(worst_loo, abs(nn.second[i] - math.sqrt(b1[i if i < j else i - 1])))
 
-    ok = worst_nn == 0.0 and worst_beta <= 1e-12 and worst_cv <= 1e-10 and worst_loo <= 1e-12
+    ok = (
+        worst_nn == 0.0 and worst_second == 0.0 and worst_beta <= 1e-12
+        and worst_cv <= 1e-10 and worst_loo <= 1e-12
+    )
     report(
         capsys, 7, ok,
-        f"nn grid vs brute max dev {worst_nn:.1e} over 1000 inputs, "
+        f"nn tree vs brute max dev {worst_nn:.1e} (second {worst_second:.1e}) over 1000 inputs, "
         f"coefficients vs double loop {worst_beta:.1e} (tol 1e-12), "
         f"cv grid vs per-pair {worst_cv:.1e} (tol 1e-10), "
-        f"loo vs reduced-set {worst_loo:.1e} (tol 1e-12)",
+        f"second distance vs reduced-set nn {worst_loo:.1e} (tol 1e-12)",
     )
 
 

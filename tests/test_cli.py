@@ -153,6 +153,25 @@ class TestPvalueCommand:
         assert run_cli(capsys, *base, "--n", "80")[0] == 0
         assert run_cli(capsys, *base, "--n", "81")[0] == 2
 
+    @pytest.mark.parametrize("kind", ["truncated", "header_only"])
+    def test_corrupt_cache_maps_to_2(self, capsys, tmp_path, kind):
+        cache = tmp_path / "null.json"
+        args = (
+            "pvalue", "--generator", "gaussian:rho=0.7", "--n", "80",
+            "--m", "100", "--seed", "4", "--null-cache", str(cache),
+        )
+        assert run_cli(capsys, *args)[0] == 0
+        text = cache.read_text()
+        if kind == "truncated":
+            cache.write_text(text[: len(text) // 2])
+        else:
+            doc = json.loads(text)
+            cache.write_text(json.dumps({k: doc[k] for k in ("magic", "format_version")}))
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_fields(self, capsys):
         code, out, _ = run_cli(
             capsys, "pvalue", "--generator", "gaussian:rho=0.8", "--n", "100",

@@ -7,8 +7,15 @@ from hellcorr.basis import design_matrix
 from hellcorr.cv import admissible, cv_score, select_cutoffs
 from hellcorr.errors import ConfigError, SizeError
 from hellcorr.generators import gen_gaussian
-from hellcorr.ranks_nn import loo_nn_distances, pseudo_observations, two_nearest_neighbors
+from hellcorr.ranks_nn import _two_nearest_brute, pseudo_observations, two_nearest_neighbors
 from hellcorr.transform import transform_points
+
+
+def loo_nn_distances(points, excluded):
+    """Brute-scan nearest-neighbour distances of the other points once one
+    point is removed, in original order."""
+    _, b1, _ = _two_nearest_brute(np.delete(points, excluded, axis=0))
+    return np.sqrt(b1)
 
 
 def naive_score(basis_points, metric_points, nn, K, L, weights=None):
@@ -25,7 +32,7 @@ def naive_score(basis_points, metric_points, nn, K, L, weights=None):
     Q = design_matrix(basis_points[:, 1], L)
     loo = []
     for i in range(n):
-        r = loo_nn_distances(metric_points, i).values
+        r = loo_nn_distances(metric_points, i)
         full = np.empty(n)
         full[np.arange(n) != i] = r
         full[i] = np.nan

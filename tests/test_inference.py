@@ -213,6 +213,24 @@ class TestTableCache:
             with pytest.raises(CacheMismatchError):
                 load_null_table(q)
 
+    def test_failed_write_keeps_previous_table(self, tmp_path, monkeypatch):
+        t = null_table(50, 20, seed=27)
+        p = tmp_path / "table.json"
+        save_null_table(t, p)
+        before = p.read_bytes()
+
+        def dump_then_fail(doc, fh):
+            fh.write('{"magic": "hellcorr-null-table", "draws": [0.1, ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_null_table(null_table(50, 20, seed=28), p)
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        np.testing.assert_array_equal(load_null_table(p, n=50).draws, t.draws)
+        assert [f.name for f in tmp_path.iterdir()] == ["table.json"]
+
     def test_stale_code_version_rejected(self, tmp_path):
         t = null_table(50, 20, seed=26)
         p = tmp_path / "table.json"

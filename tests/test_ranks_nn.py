@@ -1,13 +1,18 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from hellcorr.cv import select_cutoffs
 from hellcorr.errors import SizeError
+from hellcorr.estimator import b_hat_raw
+from hellcorr.generators import gen_gaussian
 from hellcorr.ranks_nn import (
-    loo_nn_distances,
-    nn_distances,
-    nn_distances_brute,
-    nn_distances_grid,
+    TwoNearest,
+    _two_nearest_brute,
+    _two_nearest_tree,
     pseudo_observations,
     two_nearest_neighbors,
 )
@@ -25,6 +30,26 @@ def rand_points(rng, n, style):
     # duplicates: force repeated coordinates
     base = rng.random((max(n // 3, 1), 2))
     return base[rng.integers(0, len(base), n)]
+
+
+def brute(pts):
+    """The brute scan as distances: the oracle for every other path."""
+    idx1, b1, b2 = _two_nearest_brute(pts)
+    return idx1, np.sqrt(b1), np.sqrt(b2)
+
+
+def assert_matches_brute(pts, idx1, d1, d2):
+    """Distances equal the oracle's bit for bit; the index names a nearest
+    neighbour, the oracle's own wherever the two nearest are not equidistant."""
+    ref_idx, ref_d1, ref_d2 = brute(pts)
+    np.testing.assert_array_equal(d1, ref_d1)
+    np.testing.assert_array_equal(d2, ref_d2)
+    clear = ref_d1 < ref_d2
+    np.testing.assert_array_equal(idx1[clear], ref_idx[clear])
+    assert np.all(idx1 != np.arange(len(pts)))
+    dx = pts[:, 0] - pts[idx1, 0]
+    dy = pts[:, 1] - pts[idx1, 1]
+    np.testing.assert_array_equal(np.sqrt(dx * dx + dy * dy), d1)
 
 
 class TestPseudoObservations:
@@ -74,14 +99,58 @@ class TestPseudoObservations:
 
 
 class TestTwoNearest:
-    def test_grid_equals_brute_bitwise(self):
+    def test_tree_equals_brute_bitwise(self):
         rng = np.random.default_rng(7)
         for style in ("uniform", "gaussian", "clustered", "duplicates"):
             for n in (50, 300, 1500):
                 pts = rand_points(rng, n, style)
-                b = two_nearest_neighbors(pts, method="brute")
-                g = nn_distances_grid(pts)
-                np.testing.assert_array_equal(b.values, g.values)
+                assert_matches_brute(pts, *_two_nearest_tree(pts))
+
+    def test_three_or_more_coincident_points(self):
+        # with four or more copies of a point, the tree may return three
+        # copies other than the point itself
+        rng = np.random.default_rng(13)
+        for copies in (3, 4, 5, 9):
+            pts = rng.random((1100, 2))
+            pts[: 2 * copies] = np.repeat(pts[[0, 1]], copies, axis=0)
+            pts = pts[rng.permutation(len(pts))]
+            idx1, d1, d2 = _two_nearest_tree(pts)
+            assert_matches_brute(pts, idx1, d1, d2)
+            assert np.count_nonzero(d2 == 0.0) == 2 * copies
+
+    def test_size_dispatch_matches_brute(self):
+        rng = np.random.default_rng(10)
+        for n in (100, 1023, 1024, 2000):
+            pts = rng.random((n, 2))
+            nn = two_nearest_neighbors(pts)
+            assert_matches_brute(pts, nn.index, nn.values, nn.second)
+            # reductions round strided and contiguous inputs differently, so
+            # equal distances must also give equal plug-in sums
+            w = rng.random(n)
+            ref = brute(pts)[1]
+            assert b_hat_raw(nn.values, w) == b_hat_raw(ref, w)
+            assert b_hat_raw(nn.values) == b_hat_raw(ref)
+
+    def test_brute_scan_not_importing_scipy_spatial(self):
+        # the k-d tree's import costs ~0.1 s; estimates below the tree
+        # cutoff must not pay it
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import hellcorr\n"
+            "from hellcorr.ranks_nn import two_nearest_neighbors\n"
+            "rng = np.random.default_rng(0)\n"
+            "hellcorr.estimate(rng.normal(size=(500, 2)))\n"
+            "two_nearest_neighbors(rng.random((1023, 2)))\n"
+            "print('scipy.spatial' in sys.modules)\n"
+            "two_nearest_neighbors(rng.random((1024, 2)))\n"
+            "print('scipy.spatial' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
 
     def test_second_at_least_first(self):
         rng = np.random.default_rng(8)
@@ -107,28 +176,43 @@ class TestTwoNearest:
         assert np.isinf(nn.second).all()
         np.testing.assert_allclose(nn.values, np.sqrt(2.0))
 
-    def test_auto_matches_both_paths(self):
-        rng = np.random.default_rng(10)
-        small = rng.random((100, 2))
-        big = rng.random((2000, 2))
-        np.testing.assert_array_equal(nn_distances(small).values, nn_distances_brute(small).values)
-        np.testing.assert_array_equal(nn_distances(big).values, nn_distances_grid(big).values)
+    def test_rejects_misshaped_points(self):
+        with pytest.raises(SizeError):
+            two_nearest_neighbors(np.zeros((1, 2)))
+        with pytest.raises(SizeError):
+            two_nearest_neighbors(np.zeros((5, 3)))
+
+    def test_equidistant_index_swap_leaves_cv_scores_unchanged(self):
+        # n + 1 = 64 makes the rank points dyadic, so equal lattice offsets
+        # give exactly equal distances
+        po = pseudo_observations(gen_gaussian(63, 0.9, seed=1))
+        nn = two_nearest_neighbors(po.points)
+        d = np.sqrt(((po.points[:, None, :] - po.points[None, :, :]) ** 2).sum(axis=2))
+        np.fill_diagonal(d, np.inf)
+        swapped = nn.index.copy()
+        for i in np.flatnonzero(nn.values == nn.second):
+            others = np.flatnonzero(d[i] == nn.values[i])
+            swapped[i] = others[others != nn.index[i]][0]
+        assert np.count_nonzero(swapped != nn.index) >= 5
+        alt = TwoNearest(index=swapped, values=nn.values, second=nn.second)
+        weights = np.random.default_rng(14).random(63) + 0.5
+        for w in (None, weights):
+            a = select_cutoffs(po, nn, weights=w)
+            b = select_cutoffs(po, alt, weights=w)
+            np.testing.assert_array_equal(a.scores, b.scores)
+            assert a.best == b.best
 
 
 class TestLeaveOneOut:
     def test_matches_brute_on_reduced_set(self):
+        # removing point e changes the nearest-neighbour distance of point i
+        # only when e was its nearest neighbour, and then to second[i]: the
+        # identity the cross-validation shortcut rests on
         rng = np.random.default_rng(11)
-        pts = rng.random((60, 2))
-        for excl in (0, 17, 59):
-            got = loo_nn_distances(pts, excl)
-            ref = nn_distances_brute(np.delete(pts, excl, axis=0))
-            np.testing.assert_array_equal(got.values, ref.values)
-
-    def test_size_and_range_checks(self):
-        pts = np.random.default_rng(12).random((5, 2))
-        with pytest.raises(SizeError):
-            loo_nn_distances(pts[:2], 0)
-        with pytest.raises(SizeError):
-            loo_nn_distances(pts, 5)
-        with pytest.raises(SizeError):
-            loo_nn_distances(pts, -1)
+        for n in (60, 1100):
+            pts = rng.random((n, 2))
+            for nn in (two_nearest_neighbors(pts), TwoNearest(*_two_nearest_tree(pts))):
+                for excl in (0, 17, n - 1):
+                    keep = np.arange(n) != excl
+                    got = np.where(nn.index == excl, nn.second, nn.values)[keep]
+                    np.testing.assert_array_equal(got, brute(pts[keep])[1])
