@@ -17,6 +17,7 @@ from .estimator import (
     EstimateConfig,
     EstimateResult,
     estimate,
+    estimate_batch,
     eta_from_B,
     gaussian_B,
     gaussian_H2,
@@ -69,6 +70,7 @@ __all__ = [
     "bootstrap_ci",
     "critical_value",
     "estimate",
+    "estimate_batch",
     "eta_from_B",
     "gaussian_B",
     "gaussian_H2",

@@ -21,11 +21,12 @@ def _check_unit(u):
 
 
 def design_matrix(u, max_degree):
-    """Evaluate b_0..b_max_degree at each u, as an (n, max_degree+1) array.
+    """Evaluate b_0..b_max_degree at each u, along a new last axis.
 
-    Uses the three-term recurrence for P_k, which is stable for every degree
-    this module supports; the scaling to orthonormal form is applied once at
-    the end.
+    u of shape (...) gives a (..., max_degree+1) array; a scalar gives
+    (1, max_degree+1). Uses the three-term recurrence for P_k, which is
+    stable for every degree this module supports; the scaling to orthonormal
+    form is applied once at the end.
     """
     if max_degree < 0:
         raise DomainError("max_degree must be >= 0")
@@ -33,12 +34,12 @@ def design_matrix(u, max_degree):
         raise CapabilityError(f"basis degree {max_degree} exceeds the supported maximum {MAX_DEGREE}")
     u = _check_unit(np.atleast_1d(u))
     x = 2.0 * u - 1.0
-    out = np.empty((u.size, max_degree + 1))
-    out[:, 0] = 1.0
+    out = np.empty(u.shape + (max_degree + 1,))
+    out[..., 0] = 1.0
     if max_degree >= 1:
-        out[:, 1] = x
+        out[..., 1] = x
     for k in range(1, max_degree):
-        out[:, k + 1] = ((2 * k + 1) * x * out[:, k] - k * out[:, k - 1]) / (k + 1)
+        out[..., k + 1] = ((2 * k + 1) * x * out[..., k] - k * out[..., k - 1]) / (k + 1)
     return out * np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)
 
 

@@ -182,6 +182,11 @@ def cmd_pvalue(args):
     arr, source = _get_sample(args)
     res = estimate(arr, _get_config(args))
     fixed = replace(res.config, cutoffs=res.cutoffs)
+    if args.null_cache:
+        # refuse a cache path that cannot be written before building the table
+        cache_dir = os.path.dirname(os.path.abspath(args.null_cache))
+        if not os.path.isdir(cache_dir):
+            raise ConfigError(f"--null-cache directory {cache_dir} does not exist")
     cache_used = False
     if args.null_cache and os.path.exists(args.null_cache):
         table = load_null_table(args.null_cache, n=arr.shape[0], config=fixed)
@@ -216,8 +221,7 @@ def cmd_ci(args):
         seed=args.seed,
         threads=args.threads,
     )
-    res = estimate(arr, _get_config(args))
-    doc = _estimate_doc(args, arr, source, res)
+    doc = _estimate_doc(args, arr, source, ci.estimate)
     doc.update(
         schema="hellcorr/ci@1",
         lower=ci.lower,
@@ -260,7 +264,9 @@ def _suite_table1(scale, seed, threads):
 def _suite_table2(scale, seed, threads):
     reps = 100 if scale == "desk" else 500
     n = 500
-    table = null_table(n, 1000 if scale == "desk" else 2000, seed=substream_seed(seed, "t2null"))
+    table = null_table(
+        n, 1000 if scale == "desk" else 2000, seed=substream_seed(seed, "t2null"), threads=threads
+    )
     crit = critical_value(table, 0.05)
     rows = []
     for name in SCENARIOS:
@@ -305,7 +311,9 @@ def _suite_figures(kind, scale, seed, threads):
     depths = (1, 2, 3, 4)
     reps = 100 if scale == "desk" else 200
     reps_big = 20 if scale == "desk" else 100
-    table = null_table(500, 500 if scale == "desk" else 2000, seed=substream_seed(seed, "fignull"))
+    table = null_table(
+        500, 500 if scale == "desk" else 2000, seed=substream_seed(seed, "fignull"), threads=threads
+    )
     crit = critical_value(table, 0.05)
     rows = []
     prev_med = None

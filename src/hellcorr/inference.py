@@ -7,6 +7,17 @@ empirical beta copula, whose continuous margins cannot produce duplicated
 points (plain with-replacement pair resampling does, which zeroes
 nearest-neighbour distances and wrecks the estimate), and studentize with
 an inner bootstrap layer.
+
+Both procedures estimate many same-size samples at fixed cutoffs, so they
+split their replicates into blocks and estimate each block with one
+``estimate_batch`` call. A block holds about ``BATCH_POINTS`` observations;
+its size depends on the sample size (and the inner layer size b2) alone,
+never on the thread count. Every replicate still draws from
+its own RNG substream, and a batched estimate does not depend on the other
+samples of its batch, so the results do not depend on the blocks or on the
+thread count. ``threads`` maps the blocks over a thread pool; the
+nearest-neighbour scans release the interpreter lock, so threads pay at
+larger n and cost a little at very small n.
 """
 
 import hashlib
@@ -20,8 +31,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import CacheMismatchError, ConfigError, DiagnosticsError, DomainError, SizeError
-from .estimator import EstimateConfig, estimate
-from .ranks_nn import as_sample, pseudo_observations
+from .estimator import BATCH_POINTS, EstimateConfig, EstimateResult, estimate, estimate_batch
+from .ranks_nn import as_sample, column_ranks
 from .rng import substream
 from .version import __version__
 
@@ -57,6 +68,7 @@ class BootstrapCI:
     dropped: int
     eta: float
     se: float
+    estimate: EstimateResult = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -80,18 +92,24 @@ def table_key(n, config):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _map_maybe_parallel(fn, count, threads):
-    if threads is not None and threads > 1:
+def _blocks(count, size):
+    """Consecutive index ranges of at most size that cover range(count)."""
+    return [range(a, min(a + size, count)) for a in range(0, count, size)]
+
+
+def _map_maybe_parallel(fn, items, threads):
+    if threads is not None and threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, range(count), chunksize=max(1, count // (8 * threads))))
-    return [fn(i) for i in range(count)]
+            return list(ex.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def null_table(n, m, config=None, seed=0, threads=1):
     """Distribution of the estimate over m independent uniform samples.
 
     Each replicate runs the full estimation pipeline, with its own RNG
-    substream so the result does not depend on the thread count.
+    substream so the result does not depend on the thread count. At fixed
+    cutoffs each block of replicates is one batched estimate.
     """
     if n < 3:
         raise SizeError("null table needs n >= 3")
@@ -99,10 +117,16 @@ def null_table(n, m, config=None, seed=0, threads=1):
         raise ConfigError("need at least one replicate")
     cfg = config if config is not None else EstimateConfig()
 
-    def one(i):
-        return estimate(substream(seed, "null", i).random((n, 2)), cfg).eta
+    def block(idx):
+        samples = np.empty((len(idx), n, 2))
+        for k, i in enumerate(idx):
+            substream(seed, "null", i).random(out=samples[k])
+        if cfg.cutoffs is None:
+            return [estimate(x, cfg).eta for x in samples]
+        return estimate_batch(samples, cfg)
 
-    draws = np.sort(np.asarray(_map_maybe_parallel(one, m, threads)))
+    parts = _map_maybe_parallel(block, _blocks(m, max(1, BATCH_POINTS // n)), threads)
+    draws = np.sort(np.concatenate(parts))
     draws.flags.writeable = False
     return NullTable(n=int(n), draws=draws, config=cfg, seed=int(seed))
 
@@ -165,26 +189,33 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
     cfg = config if config is not None else EstimateConfig()
     base = estimate(arr, cfg)
     fixed = replace(cfg, cutoffs=base.cutoffs)
-    ranks0 = pseudo_observations(arr).ranks
+    ranks0 = column_ranks(arr)
 
-    def inner_se(rk, path):
-        etas = [
-            estimate(sample_beta_copula(rk, n, substream(seed, *path, j)), fixed).eta
-            for j in range(b2)
-        ]
+    def draw_layer(out, rk, *path):
+        for j in range(len(out)):
+            out[j] = sample_beta_copula(rk, n, substream(seed, *path, j))
+
+    def scale(etas):
         return float(np.std(etas, ddof=1))
 
-    se0 = inner_se(ranks0, ("se0",))
+    layer0 = np.empty((b2, n, 2))
+    draw_layer(layer0, ranks0, "se0")
+    se0 = scale(estimate_batch(layer0, fixed))
     if se0 == 0.0:
         raise DiagnosticsError("inner resampling scale of the original sample is zero")
 
-    def outer(b):
-        rs = sample_beta_copula(ranks0, n, substream(seed, "outer", b))
-        eta_b = estimate(rs, fixed).eta
-        se_b = inner_se(pseudo_observations(rs).ranks, ("inner", b))
-        return eta_b, se_b
+    def block(bs):
+        # each outer resample, then its inner layer, all estimated in one batch
+        samples = np.empty((len(bs), 1 + b2, n, 2))
+        for k, b in enumerate(bs):
+            samples[k, 0] = sample_beta_copula(ranks0, n, substream(seed, "outer", b))
+        for k, (b, rk) in enumerate(zip(bs, column_ranks(samples[:, 0]))):
+            draw_layer(samples[k, 1:], rk, "inner", b)
+        etas = estimate_batch(samples.reshape(-1, n, 2), fixed).reshape(len(bs), 1 + b2)
+        return [(e[0], scale(e[1:])) for e in etas]
 
-    pairs = _map_maybe_parallel(outer, b1, threads)
+    per_block = max(1, BATCH_POINTS // (n * (1 + b2)))
+    pairs = [p for part in _map_maybe_parallel(block, _blocks(b1, per_block), threads) for p in part]
     pivots = [(eta_b - base.eta) / se_b for eta_b, se_b in pairs if se_b > 0.0]
     dropped = b1 - len(pivots)
     if dropped > 0:
@@ -204,6 +235,7 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
         dropped=dropped,
         eta=base.eta,
         se=se0,
+        estimate=base,
     )
 
 
@@ -244,7 +276,11 @@ def save_null_table(table, path):
     }
     tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(tmp, "x") as fh:
+        try:
+            fh = open(tmp, "x")
+        except OSError as exc:
+            raise ConfigError(f"cannot write a null table at {path}: {exc.strerror}") from None
+        with fh:
             json.dump(doc, fh)
         os.replace(tmp, path)
     finally:
@@ -269,11 +305,13 @@ def load_null_table(path, n=None, config=None):
     stored key must also match the current code version, so tables built
     by a different version are rejected rather than silently reused.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except ValueError as exc:  # malformed JSON or text encoding
-            raise CacheMismatchError(f"{path} is not valid JSON: {exc}") from None
+    except OSError as exc:  # a directory, a missing or an unreadable file
+        raise ConfigError(f"cannot read a null table at {path}: {exc.strerror}") from None
+    except ValueError as exc:  # malformed JSON or text encoding
+        raise CacheMismatchError(f"{path} is not valid JSON: {exc}") from None
     if (
         not isinstance(doc, dict)
         or doc.get("magic") != _MAGIC

@@ -7,7 +7,10 @@ n = 1024 and from a k-d tree (``scipy.spatial.cKDTree``) at and above it.
 Both paths are exact, and the tests pin the tree's distances to the brute
 scan's bit for bit. Where a point's two nearest neighbours are equidistant
 the two paths may name different neighbours; the cross-validation term that
-reads the index is then multiplied by second - first = 0.
+reads the index is then multiplied by second - first = 0. Resampling at
+fixed cutoffs needs only the first distance, for many same-size samples at
+once: ``nearest_distances`` scans a batch in chunks and gives the same
+distances.
 """
 
 from dataclasses import dataclass
@@ -20,6 +23,9 @@ from .rng import substream
 # inputs of this size and larger go to the k-d tree; smaller ones stay on the
 # brute scan, which also keeps them clear of the scipy.spatial import
 _TREE_MIN_N = 1024
+# distance cells one batched brute step holds: the size of a single n = 512
+# scan, so batching does not raise the scan's peak memory
+_BRUTE_CELLS = 1 << 18
 
 
 def as_sample(x):
@@ -61,11 +67,17 @@ def pseudo_observations(sample, jitter_seed=None):
         for j in (0, 1):
             spread = np.ptp(work[:, j]) or 1.0
             work[:, j] += substream(jitter_seed, "jitter", j).uniform(-1.0, 1.0, n) * 1e-10 * spread
-    ranks = np.empty((n, 2), dtype=np.int64)
-    for j in (0, 1):
-        order = np.argsort(work[:, j], kind="stable")
-        ranks[order, j] = np.arange(1, n + 1)
+    ranks = column_ranks(work)
     return PseudoObs(points=ranks / (n + 1.0), ranks=ranks, n=n, tie_warning=tie)
+
+
+def column_ranks(samples):
+    """Ranks 1..n of each column of (..., n, 2) samples, ties by input order."""
+    order = np.argsort(samples, axis=-2, kind="stable")
+    n = order.shape[-2]
+    ranks = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, n + 1)[:, None], axis=-2)
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -128,3 +140,37 @@ def two_nearest_neighbors(points):
         return TwoNearest(index=idx1, values=d1, second=d2)
     idx1, b1, b2 = _two_nearest_brute(pts)
     return TwoNearest(index=idx1, values=np.sqrt(b1), second=np.sqrt(b2))
+
+
+def nearest_distances(points):
+    """Exact nearest-neighbour distances for a batch of same-size point sets.
+
+    points is (m, n, 2); row i of the (m, n) result equals
+    ``two_nearest_neighbors(points[i]).values`` bit for bit. Below the tree
+    cutoff the brute scan runs over as many sets at once as fit in
+    ``_BRUTE_CELLS`` distance cells.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3 or pts.shape[2] != 2:
+        raise SizeError("expected an (m, n, 2) array of point sets")
+    m, n, _ = pts.shape
+    if n < 2:
+        raise SizeError("need at least 2 points")
+    if n >= _TREE_MIN_N:
+        return np.array([two_nearest_neighbors(p).values for p in pts]).reshape(m, n)
+    xs = np.ascontiguousarray(pts[..., 0])
+    ys = np.ascontiguousarray(pts[..., 1])
+    out = np.empty((m, n))
+    step = max(1, _BRUTE_CELLS // (n * n))
+    diag = np.arange(n)
+    for a in range(0, m, step):
+        x, y = xs[a : a + step], ys[a : a + step]
+        # dx * dx + dy * dy as in the single scan, computed in place
+        d2 = x[:, :, None] - x[:, None, :]
+        d2 *= d2
+        dy = y[:, :, None] - y[:, None, :]
+        dy *= dy
+        d2 += dy
+        d2[:, diag, diag] = np.inf
+        out[a : a + step] = np.sqrt(d2.min(axis=2))
+    return out

@@ -172,6 +172,28 @@ class TestPvalueCommand:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_cache_path_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "pvalue", "--generator", "circle", "--n", "30", "--m", "100",
+            "--null-cache", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_cache_in_missing_directory(self, capsys, tmp_path, monkeypatch):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("null table built for an unwritable cache path")
+
+        monkeypatch.setattr(cli, "null_table", must_not_build)
+        code, out, err = run_cli(
+            capsys, "pvalue", "--generator", "circle", "--n", "30", "--m", "100",
+            "--null-cache", str(tmp_path / "nodir" / "c.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_fields(self, capsys):
         code, out, _ = run_cli(
             capsys, "pvalue", "--generator", "gaussian:rho=0.8", "--n", "100",
@@ -200,6 +222,15 @@ class TestCiCommand:
         _, again, _ = run_cli(capsys, *args)
         assert json.loads(again) == doc
 
+    def test_estimate_fields_equal_estimate_command(self, capsys):
+        data = ("--generator", "gaussian:rho=0.6", "--n", "60", "--seed", "6")
+        _, out, _ = run_cli(capsys, "ci", *data, "--b1", "20", "--b2", "4")
+        _, est, _ = run_cli(capsys, "estimate", *data)
+        ci_doc, est_doc = json.loads(out), json.loads(est)
+        assert {k: ci_doc[k] for k in est_doc if k != "schema"} == {
+            k: v for k, v in est_doc.items() if k != "schema"
+        }
+
 
 class TestReproduceCommand:
     def test_table1_desk(self, capsys):
@@ -220,6 +251,23 @@ class TestReproduceCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert "bias" in lines[0].split(",")
+
+
+    def test_threads_reach_the_null_tables(self, capsys, monkeypatch):
+        class Built(Exception):
+            pass
+
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.append(kwargs.get("threads"))
+            raise Built
+
+        monkeypatch.setattr(cli, "null_table", record)
+        for suite in ("table2", "figure2", "figure3"):
+            with pytest.raises(Built):
+                cli.main(["reproduce", suite, "--threads", "3"])
+        assert seen == [3, 3, 3]
 
 
 class TestExitCodes:

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hellcorr.basis import basis_eval
+import hellcorr.estimator as estimator_module
+from hellcorr.basis import basis_eval, design_matrix
 from hellcorr.errors import ConfigError, DegenerateDataError, DomainError, SizeError
 from hellcorr.estimator import (
     EstimateConfig,
     b_hat_raw,
     beta_hat_table,
     estimate,
+    estimate_batch,
     eta_from_B,
     gaussian_B,
     gaussian_H2,
@@ -18,6 +20,33 @@ from hellcorr.estimator import (
     pearson,
 )
 from hellcorr.generators import gen_gaussian
+from hellcorr.ranks_nn import pseudo_observations, two_nearest_neighbors
+from hellcorr.transform import transform_points
+
+
+def oracle_eta(sample, K, L, transform):
+    """One fixed-cutoff estimate the unbatched way: per-cell dot products
+    for the coefficient table and the scalar eta map."""
+    po = pseudo_observations(sample)
+    n = po.n
+    if transform == "beta66":
+        tp = transform_points(po.points)
+        dist_pts, w = tp.points, tp.weights
+    else:
+        dist_pts, w = po.points, np.ones(n)
+    rw = two_nearest_neighbors(dist_pts).values * w
+    cn = 2.0 * math.sqrt(n - 1.0) / n
+    P = design_matrix(po.points[:, 0], K)
+    Q = design_matrix(po.points[:, 1], L)
+    beta = np.array(
+        [[cn * float(np.dot(rw, P[:, k] * Q[:, l])) for l in range(L + 1)] for k in range(K + 1)]
+    )
+    if (K, L) == (0, 0):
+        b = min(beta[0, 0], 1.0)
+    else:
+        b = beta[0, 0] / math.sqrt(math.fsum((beta * beta).ravel()))
+    s = math.sqrt(4.0 - 3.0 * b**4)
+    return 2.0 * math.sqrt(max(s - 1.0, 0.0) / (s + 2.0))
 
 
 class TestScaleMaps:
@@ -66,6 +95,24 @@ class TestCoefficients:
                     for i in range(40)
                 )
                 assert table[k, l] == pytest.approx(ref, abs=1e-12)
+
+    def test_batched_table_matches_per_cell_dots(self):
+        # n = 40000 spans several row chunks of the table; distances of the
+        # size nearest neighbours have keep the entries of order one
+        rng = np.random.default_rng(34)
+        for n, m in ((7, 5), (300, 3), (40000, 2)):
+            pts = rng.random((m, n, 2))
+            v = rng.random((m, n)) / math.sqrt(n)
+            w = rng.random((m, n)) + 0.5
+            table = beta_hat_table(pts, v, 4, 2, weights=w)
+            assert table.shape == (m, 5, 3)
+            cn = 2.0 * math.sqrt(n - 1.0) / n
+            for i in range(m):
+                np.testing.assert_array_equal(table[i], beta_hat_table(pts[i], v[i], 4, 2, weights=w[i]))
+                P = design_matrix(pts[i, :, 0], 4)
+                Q = design_matrix(pts[i, :, 1], 2)
+                ref = cn * (P * (v[i] * w[i])[:, None]).T @ Q
+                np.testing.assert_allclose(table[i], ref, rtol=0, atol=1e-12)
 
     def test_constant_cell_equals_raw_sum(self):
         rng = np.random.default_rng(32)
@@ -140,6 +187,93 @@ class TestEstimate:
         indep = estimate(gen_gaussian(500, 0.0, seed=8)).eta
         dep = estimate(gen_gaussian(500, 0.8, seed=8)).eta
         assert dep > indep
+
+
+class TestEstimateBatch:
+    @pytest.mark.parametrize("n", [3, 12, 500, 1023, 1024, 3000])
+    def test_matches_per_replicate_oracle(self, n):
+        rng = np.random.default_rng(n)
+        samples = np.stack([gen_gaussian(n, rho, seed=rng) for rho in (0.0, 0.5, 0.9)])
+        for transform in ("beta66", "none"):
+            for cut in ((0, 0), (1, 1), (3, 2)):
+                got = estimate_batch(samples, EstimateConfig(cutoffs=cut, transform=transform))
+                assert got.shape == (3,)
+                for x, eta in zip(samples, got):
+                    assert eta == pytest.approx(oracle_eta(x, *cut, transform), abs=1e-12)
+
+    def test_independent_of_batch_size(self):
+        rng = np.random.default_rng(41)
+        for n in (5, 12, 40, 300):
+            samples = rng.normal(size=(64, n, 2))
+            cfg = EstimateConfig(cutoffs=(3, 2))
+            full = estimate_batch(samples, cfg)
+            for size in (1, 7, 64):
+                parts = [estimate_batch(samples[a : a + size], cfg) for a in range(0, 64, size)]
+                np.testing.assert_array_equal(np.concatenate(parts), full)
+
+    def test_equals_single_estimate(self):
+        # one coefficient table and normalization serve both entry points
+        rng = np.random.default_rng(42)
+        for n in (12, 200, 1500):
+            samples = rng.normal(size=(4, n, 2))
+            for cfg in (EstimateConfig(cutoffs=(2, 3)), EstimateConfig(cutoffs=(0, 0), transform="none")):
+                got = estimate_batch(samples, cfg)
+                np.testing.assert_array_equal(got, [estimate(x, cfg).eta for x in samples])
+
+    def test_column_swap_swaps_cutoffs(self):
+        rng = np.random.default_rng(43)
+        for n in (12, 500):
+            samples = rng.normal(size=(16, n, 2))
+            samples[:, :, 1] += samples[:, :, 0]
+            for transform in ("beta66", "none"):
+                for K, L in ((3, 1), (0, 4), (5, 2)):
+                    a = estimate_batch(samples, EstimateConfig(cutoffs=(K, L), transform=transform))
+                    b = estimate_batch(samples[:, :, ::-1], EstimateConfig(cutoffs=(L, K), transform=transform))
+                    np.testing.assert_array_equal(a, b)
+
+    def test_needs_fixed_cutoffs_and_batched_samples(self):
+        samples = np.random.default_rng(44).random((3, 10, 2))
+        with pytest.raises(ConfigError):
+            estimate_batch(samples, EstimateConfig())
+        with pytest.raises(ConfigError):
+            estimate_batch(samples, None)
+        fixed = EstimateConfig(cutoffs=(1, 1))
+        with pytest.raises(SizeError):
+            estimate_batch(samples[0], fixed)
+        with pytest.raises(SizeError):
+            estimate_batch(samples[:, :1], fixed)
+        bad = samples.copy()
+        bad[1, 2, 0] = np.nan
+        with pytest.raises(SizeError):
+            estimate_batch(bad, fixed)
+
+    def test_coincident_points_raise(self, monkeypatch):
+        # rank points are distinct, so the nearest-neighbour step is made to
+        # see one replicate whose points all coincide
+        def coincide_in_second(points):
+            d = real(points)
+            d[1] = 0.0
+            return d
+
+        real = estimator_module.nearest_distances
+        monkeypatch.setattr(estimator_module, "nearest_distances", coincide_in_second)
+        samples = np.random.default_rng(45).random((3, 20, 2))
+        with pytest.raises(DegenerateDataError):
+            estimate_batch(samples, EstimateConfig(cutoffs=(2, 2)))
+        # raw mode has nothing to normalize: a zero sum gives B = 0, eta = 1
+        assert estimate_batch(samples, EstimateConfig(cutoffs=(0, 0)))[1] == 1.0
+
+    def test_batched_normalization(self):
+        tables = np.array([[[3.0, 4.0]], [[2.0, 0.0]]])
+        np.testing.assert_array_equal(normalize_b(tables), [0.6, 1.0])
+        with pytest.raises(DegenerateDataError):
+            normalize_b(np.stack([tables[0], np.zeros((1, 2))]))
+
+    def test_eta_map_on_arrays(self):
+        b = np.linspace(0.0, 1.0, 101)
+        np.testing.assert_array_equal(eta_from_B(b), [eta_from_B(v) for v in b])
+        with pytest.raises(DomainError):
+            eta_from_B(np.array([0.5, float("nan")]))
 
 
 class TestConfig:

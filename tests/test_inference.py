@@ -9,7 +9,7 @@ from hellcorr.errors import (
     DomainError,
     SizeError,
 )
-from hellcorr.estimator import EstimateConfig, estimate
+from hellcorr.estimator import BATCH_POINTS, EstimateConfig, estimate
 from hellcorr.generators import gen_gaussian
 from hellcorr.inference import (
     NullTable,
@@ -23,6 +23,32 @@ from hellcorr.inference import (
     significance,
 )
 from hellcorr.ranks_nn import pseudo_observations, two_nearest_neighbors
+from hellcorr.rng import substream
+
+
+def reference_bootstrap(sample, b1, b2, seed, level=0.95):
+    """The double bootstrap one replicate at a time, as it ran unbatched."""
+    n = sample.shape[0]
+    base = estimate(sample)
+    fixed = EstimateConfig(cutoffs=base.cutoffs)
+    ranks0 = pseudo_observations(sample).ranks
+
+    def inner_se(rk, *path):
+        etas = [
+            estimate(sample_beta_copula(rk, n, substream(seed, *path, j)), fixed).eta
+            for j in range(b2)
+        ]
+        return float(np.std(etas, ddof=1))
+
+    se0 = inner_se(ranks0, "se0")
+    pivots = []
+    for b in range(b1):
+        rs = sample_beta_copula(ranks0, n, substream(seed, "outer", b))
+        se_b = inner_se(pseudo_observations(rs).ranks, "inner", b)
+        pivots.append((estimate(rs, fixed).eta - base.eta) / se_b)
+    alpha = 1.0 - level
+    qlo, qhi = np.quantile(pivots, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return base.eta - qhi * se0, base.eta - qlo * se0, se0
 
 
 def toy_table(draws):
@@ -110,6 +136,16 @@ class TestNullTable:
         b = null_table(80, 40, seed=9, threads=4)
         np.testing.assert_array_equal(a.draws, b.draws)
 
+    def test_partial_last_block_and_threads(self):
+        n, m = 500, 70
+        assert m % (BATCH_POINTS // n) != 0
+        fixed = EstimateConfig(cutoffs=(3, 3))
+        tables = [null_table(n, m, fixed, seed=29, threads=t) for t in (1, 2, 3)]
+        for t in tables[1:]:
+            np.testing.assert_array_equal(t.draws, tables[0].draws)
+        ref = sorted(estimate(substream(29, "null", i).random((n, 2)), fixed).eta for i in range(m))
+        np.testing.assert_allclose(tables[0].draws, ref, rtol=0, atol=1e-12)
+
     def test_draws_sorted_and_in_range(self):
         t = null_table(60, 30, seed=10)
         assert np.all(np.diff(t.draws) >= 0)
@@ -167,6 +203,18 @@ class TestBootstrapCI:
         assert wide.lower <= narrow.lower
         assert narrow.upper <= wide.upper
         assert wide.eta == estimate(x).eta
+
+    def test_matches_unbatched_reference(self):
+        # several blocks of outer replicates, the last one partial
+        assert 100 % (BATCH_POINTS // (30 * (1 + 5))) != 0
+        x = gen_gaussian(30, 0.6, seed=24)
+        ci = bootstrap_ci(x, b1=100, b2=5, seed=25)
+        lower, upper, se0 = reference_bootstrap(x, 100, 5, 25)
+        assert ci.se == pytest.approx(se0, rel=0, abs=1e-12)
+        assert ci.lower == pytest.approx(min(max(lower, 0.0), 1.0), rel=0, abs=1e-12)
+        assert ci.upper == pytest.approx(min(max(upper, 0.0), 1.0), rel=0, abs=1e-12)
+        base = estimate(x)
+        assert (ci.estimate.eta, ci.estimate.b_raw, ci.estimate.cutoffs) == (base.eta, base.b_raw, base.cutoffs)
 
     def test_deterministic(self):
         x = gen_gaussian(50, 0.5, seed=21)
@@ -230,6 +278,14 @@ class TestTableCache:
         assert p.read_bytes() == before
         np.testing.assert_array_equal(load_null_table(p, n=50).draws, t.draws)
         assert [f.name for f in tmp_path.iterdir()] == ["table.json"]
+
+    def test_unusable_paths_are_config_errors(self, tmp_path):
+        t = null_table(50, 20, seed=30)
+        with pytest.raises(ConfigError):
+            load_null_table(tmp_path)
+        with pytest.raises(ConfigError):
+            save_null_table(t, tmp_path / "missing" / "table.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_stale_code_version_rejected(self, tmp_path):
         t = null_table(50, 20, seed=26)

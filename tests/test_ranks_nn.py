@@ -13,6 +13,8 @@ from hellcorr.ranks_nn import (
     TwoNearest,
     _two_nearest_brute,
     _two_nearest_tree,
+    column_ranks,
+    nearest_distances,
     pseudo_observations,
     two_nearest_neighbors,
 )
@@ -96,6 +98,34 @@ class TestPseudoObservations:
             pseudo_observations(np.zeros((5, 3)))
         with pytest.raises(SizeError):
             pseudo_observations(np.array([[0.0, np.inf], [1.0, 2.0]]))
+
+
+    def test_batched_ranks_equal_per_sample_ranks(self):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(9, 30, 2))
+        x[3, :10] = x[3, 0]  # ties, broken by input order in both
+        ranks = column_ranks(x)
+        for i in range(9):
+            np.testing.assert_array_equal(ranks[i], pseudo_observations(x[i]).ranks)
+
+
+class TestNearestDistances:
+    def test_equal_the_single_scan_bitwise(self):
+        # batches of several sizes: a brute step holds many small sets, one
+        # n = 600 set, or goes to the tree at n >= 1024
+        rng = np.random.default_rng(15)
+        for n, m in ((2, 5), (3, 40), (12, 3000), (200, 9), (600, 3), (1024, 2)):
+            for style in ("uniform", "duplicates"):
+                pts = np.stack([rand_points(rng, n, style) for _ in range(m)])
+                got = nearest_distances(pts)
+                for i in range(m):
+                    np.testing.assert_array_equal(got[i], brute(pts[i])[1])
+
+    def test_rejects_misshaped_points(self):
+        with pytest.raises(SizeError):
+            nearest_distances(np.zeros((3, 1, 2)))
+        with pytest.raises(SizeError):
+            nearest_distances(np.zeros((5, 2)))
 
 
 class TestTwoNearest:
