@@ -106,6 +106,8 @@ def load_table_file(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not a UTF-8 text table: {exc.reason}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ConfigError(f"{path} is empty")
@@ -133,12 +135,12 @@ def _get_sample(args):
     if (args.input is None) == (args.generator is None):
         raise ConfigError("provide exactly one of --input or --generator")
     if args.input is not None:
-        arr = load_table_file(args.input)
-        source = args.input
+        arr, source = load_table_file(args.input), args.input
     else:
-        spec = GeneratorSpec.parse(args.generator)
+        spec, source = GeneratorSpec.parse(args.generator), args.generator
+        if args.n < 3:  # numpy refuses a negative size with a bare ValueError
+            raise SizeError(f"need at least 3 observations, got --n {args.n}")
         arr = spec.generate(args.n, args.seed)
-        source = args.generator
     if arr.shape[0] < 3:
         raise SizeError(f"need at least 3 observations, got {arr.shape[0]}")
     return arr, source

@@ -8,9 +8,9 @@ for rough densities, so the default path projects it onto a tensor
 Legendre basis and normalizes by the coefficient norm, with the truncation
 chosen by cross-validation.
 
-Resampling estimates many same-size samples at fixed cutoffs;
-``estimate_batch`` runs them as one batch through the same coefficient
-table and normalization that ``estimate`` uses.
+One core serves every estimate: ``estimate`` runs it on one sample and
+``estimate_batch`` on a batch of same-size samples, cross-validated or at
+fixed cutoffs, with one scan, one coefficient table and one normalization.
 """
 
 import math
@@ -19,23 +19,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import MAX_DEGREE, design_matrix
+from .basis import BATCH_POINTS, MAX_DEGREE, design_matrix, tensor_sums
 from .cv import CvResult, select_cutoffs
 from .errors import ConfigError, DegenerateDataError, DomainError, SizeError
 from .ranks_nn import (
-    as_sample,
-    column_ranks,
-    nearest_distances,
-    pseudo_observations,
+    PseudoObs, as_sample, as_samples, column_ranks, nearest_distances, pseudo_observations,
     two_nearest_neighbors,
 )
 from .transform import beta66_pdf, beta66_quantile
 
 _TRANSFORMS = ("none", "beta66")
-# observations one batched step holds at once: the rows of the basis-product
-# table formed per step and the block size of the resampling procedures.
-# Their temporaries stay near 1 MB, which keeps peak memory where it was.
-BATCH_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -152,31 +145,14 @@ def beta_hat_table(points, nn_values, K, L, weights=None):
     Entry (k, l) pairs the nearest-neighbour sum with the degree-(k, l)
     tensor basis function evaluated at the rank points. Leading batch axes
     of points (..., n, 2) and nn_values (..., n) carry through to the
-    (..., K+1, L+1) result.
-
-    Every entry adds its n terms in the same order, in row chunks whose size
-    depends on n alone, so an entry does not depend on the other samples of
-    a batch or on its place in the table (which keeps column swaps exact).
+    (..., K+1, L+1) result (``basis.tensor_sums``).
     """
     pts = np.asarray(points, dtype=float)
     v = np.asarray(nn_values, dtype=float)
     rw = v if weights is None else v * np.asarray(weights, dtype=float)
-    batch, n = pts.shape[:-2], pts.shape[-2]
-    pts = pts.reshape(-1, n, 2)
-    rw = rw.reshape(-1, n)
-    rows = min(n, BATCH_POINTS)
-    reps = BATCH_POINTS // rows
-    out = np.zeros((pts.shape[0], (K + 1) * (L + 1)))
-    for a in range(0, pts.shape[0], reps):
-        for i in range(0, n, rows):
-            p = pts[a : a + reps, i : i + rows]
-            # basis values degree first, so that each entry sums a contiguous row
-            P = np.ascontiguousarray(design_matrix(p[..., 0], K).transpose(0, 2, 1))
-            Q = np.ascontiguousarray(design_matrix(p[..., 1], L).transpose(0, 2, 1))
-            prod = (P[:, :, None, :] * Q[:, None, :, :]).reshape(len(p), -1, p.shape[1])
-            out[a : a + reps] += np.einsum("mi,mci->mc", rw[a : a + reps, i : i + rows], prod)
+    n = pts.shape[-2]
     cn = 2.0 * math.sqrt(n - 1.0) / n
-    return (cn * out).reshape(batch + (K + 1, L + 1))
+    return cn * tensor_sums(rw, design_matrix(pts[..., 0], K), design_matrix(pts[..., 1], L))
 
 
 def normalize_b(beta):
@@ -205,68 +181,76 @@ def _distance_points(ranks, transform):
     return tq[ranks - 1], sw[ranks[..., 0] - 1] * sw[ranks[..., 1] - 1]
 
 
-def _raw_and_normalized(points, nn_values, weights, K, L):
-    """Raw and normalized B at cutoffs (K, L); leading batch axes carry through.
+def _estimable(samples):
+    """Validate m same-size samples (m, n, 2). A constant column is refused:
+    its ranks would reflect only the input order or a jitter, not dependence."""
+    arr = as_samples(samples)
+    if np.any(np.all(arr == arr[:, :1], axis=1)):
+        raise DegenerateDataError("a margin is constant, so the sample carries no dependence")
+    return arr
 
-    The raw plug-in sum is the table's constant cell. At (0, 0) there is
-    nothing to normalize by, and the raw sum, capped at 1, stands in.
+
+def _estimate_core(ranks, cfg):
+    """Raw and normalized B, cutoffs and CV result of m samples' ranks (m, n, 2).
+
+    Under cross-validation each sample keeps the (K, L) corner of the CV
+    coefficient table, the fixed-cutoff table, and zeros beyond it, which
+    leave its exactly rounded norm as it is. When (0, 0) is the only pair on
+    offer the raw sum, capped at 1, stands in for the normalized one.
     """
-    beta = beta_hat_table(points, nn_values, K, L, weights=weights)
-    braw = beta[..., 0, 0]
-    if (K, L) == (0, 0):
-        return braw, np.minimum(braw, 1.0)
-    return braw, normalize_b(beta)
+    n = ranks.shape[1]
+    points = ranks / (n + 1.0)
+    dist_pts, wts = _distance_points(ranks, cfg.transform)
+    if cfg.cutoffs is None:
+        pseudo = PseudoObs(points=points, ranks=ranks, n=n, tie_warning=False)
+        nn = two_nearest_neighbors(dist_pts)
+        cv = select_cutoffs(pseudo, nn, cfg.kmax, cfg.lmax, weights=wts)
+        cutoffs = cv.best
+        k, l = np.ogrid[: cfg.kmax + 1, : cfg.lmax + 1]
+        K, L = np.reshape(cutoffs, (-1, 2)).T[..., None, None]
+        beta = np.where((k <= K) & (l <= L), cv.beta, 0.0)
+    else:
+        cv = None
+        cutoffs = [cfg.cutoffs] * len(ranks)
+        beta = beta_hat_table(points, nearest_distances(dist_pts), *cfg.cutoffs, weights=wts)
+    braw = beta[:, 0, 0]
+    if (cfg.cutoffs or (cfg.kmax, cfg.lmax)) == (0, 0):
+        return braw, np.minimum(braw, 1.0), cutoffs, cv
+    return braw, normalize_b(beta), cutoffs, cv
 
 
 def estimate(sample, config=None, jitter_seed=None):
     """Estimate the Hellinger correlation from a bivariate sample."""
     cfg = config if config is not None else EstimateConfig()
-    pseudo = pseudo_observations(sample, jitter_seed=jitter_seed)
-    dist_pts, wts = _distance_points(pseudo.ranks, cfg.transform)
-    nn = two_nearest_neighbors(dist_pts)
-
-    cvres = None
-    if cfg.cutoffs is None:
-        cvres = select_cutoffs(pseudo, nn, cfg.kmax, cfg.lmax, weights=wts)
-        K, L = cvres.best
-    else:
-        K, L = cfg.cutoffs
-
-    braw, bnorm = _raw_and_normalized(pseudo.points, nn.values, wts, K, L)
+    arr = _estimable(np.asarray(sample, dtype=float)[None])[0]
+    pseudo = pseudo_observations(arr, jitter_seed=jitter_seed)
+    braw, bnorm, cutoffs, cv = _estimate_core(pseudo.ranks[None], cfg)
+    if cv is not None:
+        cv = CvResult(best=cv.best[0], scores=cv.scores[0], beta=cv.beta[0])
     return EstimateResult(
-        b_raw=float(braw),
-        b_normalized=float(bnorm),
-        eta=eta_from_B(bnorm),
-        cutoffs=(K, L),
+        b_raw=float(braw[0]),
+        b_normalized=float(bnorm[0]),
+        eta=eta_from_B(float(bnorm[0])),
+        cutoffs=cutoffs[0],
         transform_used=cfg.transform,
         tie_warning=pseudo.tie_warning,
-        raw_mode=(K, L) == (0, 0),
-        cv=cvres,
+        raw_mode=cutoffs[0] == (0, 0),
+        cv=cv,
         config=cfg,
     )
 
 
 def estimate_batch(samples, config):
-    """Etas of m same-size samples, (m, n, 2), at the config's fixed cutoffs.
+    """Etas of m same-size samples (m, n, 2), from the estimation core.
 
-    Runs the steps of ``estimate`` on the whole batch: column ranks, the
-    shared transform tables, first nearest-neighbour distances, one
-    coefficient table and the normalization. Each eta equals
-    ``estimate(samples[i], config).eta`` bit for bit and does not depend on
-    the other samples in the batch. Ties are ranked by input order, without
-    a warning.
+    Each eta equals ``estimate(samples[i], config).eta`` bit for bit, at the
+    same cutoffs, whatever the other samples. Ties are ranked by input
+    order, without a warning.
     """
-    if config is None or config.cutoffs is None:
-        raise ConfigError("estimate_batch needs a config with fixed cutoffs")
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise SizeError("expected an (m, n, 2) array of bivariate samples")
-    if arr.shape[1] < 2:
-        raise SizeError("need at least 2 observations")
-    if not np.all(np.isfinite(arr)):
-        raise SizeError("observations must be finite")
-    ranks = column_ranks(arr)
-    dist_pts, wts = _distance_points(ranks, config.transform)
-    nn_values = nearest_distances(dist_pts)
-    _, bnorm = _raw_and_normalized(ranks / (arr.shape[1] + 1.0), nn_values, wts, *config.cutoffs)
-    return eta_from_B(bnorm)
+    cfg = config if config is not None else EstimateConfig()
+    arr = _estimable(samples)
+    # blocks of about BATCH_POINTS observations bound the temporaries of a large batch
+    step = max(1, BATCH_POINTS // arr.shape[1])
+    blocks = (arr[a : a + step] for a in range(0, len(arr), step))
+    parts = [_estimate_core(column_ranks(b), cfg)[1] for b in blocks]
+    return eta_from_B(np.concatenate(parts)) if parts else np.empty(0)

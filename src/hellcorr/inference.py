@@ -8,16 +8,16 @@ points (plain with-replacement pair resampling does, which zeroes
 nearest-neighbour distances and wrecks the estimate), and studentize with
 an inner bootstrap layer.
 
-Both procedures estimate many same-size samples at fixed cutoffs, so they
-split their replicates into blocks and estimate each block with one
-``estimate_batch`` call. A block holds about ``BATCH_POINTS`` observations;
-its size depends on the sample size (and the inner layer size b2) alone,
-never on the thread count. Every replicate still draws from
-its own RNG substream, and a batched estimate does not depend on the other
-samples of its batch, so the results do not depend on the blocks or on the
-thread count. ``threads`` maps the blocks over a thread pool; the
-nearest-neighbour scans release the interpreter lock, so threads pay at
-larger n and cost a little at very small n.
+Both procedures estimate many same-size samples, so they split their
+replicates into blocks and estimate each block with one ``estimate_batch``
+call, whether the cutoffs are fixed or cross-validated. A block holds
+about ``BATCH_POINTS`` observations; its size depends on the sample size
+(and the inner layer size b2) alone, never on the thread count. Every
+replicate still draws from its own RNG substream, and a batched estimate
+does not depend on the other samples of its batch, so the results do not
+depend on the blocks or on the thread count. ``threads`` maps the blocks
+over a thread pool; the nearest-neighbour scans release the interpreter
+lock, so threads pay at larger n and cost a little at very small n.
 """
 
 import hashlib
@@ -108,8 +108,8 @@ def null_table(n, m, config=None, seed=0, threads=1):
     """Distribution of the estimate over m independent uniform samples.
 
     Each replicate runs the full estimation pipeline, with its own RNG
-    substream so the result does not depend on the thread count. At fixed
-    cutoffs each block of replicates is one batched estimate.
+    substream so the result does not depend on the thread count. Each block
+    of replicates is one batched estimate, cross-validated or not.
     """
     if n < 3:
         raise SizeError("null table needs n >= 3")
@@ -121,8 +121,6 @@ def null_table(n, m, config=None, seed=0, threads=1):
         samples = np.empty((len(idx), n, 2))
         for k, i in enumerate(idx):
             substream(seed, "null", i).random(out=samples[k])
-        if cfg.cutoffs is None:
-            return [estimate(x, cfg).eta for x in samples]
         return estimate_batch(samples, cfg)
 
     parts = _map_maybe_parallel(block, _blocks(m, max(1, BATCH_POINTS // n)), threads)

@@ -1,16 +1,17 @@
 """Pseudo-observations and exact nearest-neighbour distances.
 
 Raw samples are reduced to their column ranks, giving points in the open unit
-square; every later stage sees only those ranks. First and second
-nearest-neighbour distances come from a brute-force O(n^2) scan below
-n = 1024 and from a k-d tree (``scipy.spatial.cKDTree``) at and above it.
-Both paths are exact, and the tests pin the tree's distances to the brute
-scan's bit for bit. Where a point's two nearest neighbours are equidistant
-the two paths may name different neighbours; the cross-validation term that
-reads the index is then multiplied by second - first = 0. Resampling at
-fixed cutoffs needs only the first distance, for many same-size samples at
-once: ``nearest_distances`` scans a batch in chunks and gives the same
-distances.
+square; every later stage sees only those ranks. Nearest-neighbour distances
+come from a brute-force O(n^2) scan below n = 1024 and from a k-d tree
+(``scipy.spatial.cKDTree``) at and above it; both are exact, and the tests
+pin the tree's distances to the brute scan's bit for bit. The brute scan has
+one body, over batches of same-size point sets, and two reductions:
+``two_nearest_neighbors`` keeps index, first and second distance, which
+cross-validation needs; ``nearest_distances`` keeps the first distance alone,
+which is all fixed cutoffs need. Where a point's two nearest neighbours are
+equidistant the two paths may name different neighbours; the
+cross-validation term that reads the index is then multiplied by
+second - first = 0.
 """
 
 from dataclasses import dataclass
@@ -30,10 +31,15 @@ _BRUTE_CELLS = 1 << 18
 
 def as_sample(x):
     """Validate and return an (n, 2) float array of observations."""
+    return as_samples(np.asarray(x, dtype=float)[None])[0]
+
+
+def as_samples(x):
+    """Validate and return an (m, n, 2) float array of m same-size samples."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise SizeError("expected an (n, 2) array of bivariate observations")
-    if arr.shape[0] < 2:
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise SizeError("expected (n, 2) bivariate observations, or an (m, n, 2) batch of them")
+    if arr.shape[1] < 2:
         raise SizeError("need at least 2 observations")
     if not np.all(np.isfinite(arr)):
         raise SizeError("observations must be finite")
@@ -86,7 +92,7 @@ class TwoNearest:
 
     ``second[i]`` is the nearest-neighbour distance of point i once ``index[i]``
     is removed, which is all the leave-one-out bookkeeping the cross-validation
-    criterion needs.
+    criterion needs. A batch axis of the points leads every field.
     """
 
     index: np.ndarray
@@ -94,27 +100,27 @@ class TwoNearest:
     second: np.ndarray
 
 
-def _check_points(points):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise SizeError("expected an (n, 2) array of points")
-    if pts.shape[0] < 2:
-        raise SizeError("need at least 2 points")
-    return pts
-
-
-def _two_nearest_brute(pts):
-    n = pts.shape[0]
-    dx = pts[:, 0:1] - pts[None, :, 0]
-    dy = pts[:, 1:2] - pts[None, :, 1]
-    d2 = dx * dx + dy * dy
-    np.fill_diagonal(d2, np.inf)
-    idx1 = np.argmin(d2, axis=1)
-    rows = np.arange(n)
-    b1 = d2[rows, idx1]
-    d2[rows, idx1] = np.inf
-    b2 = d2.min(axis=1) if n > 2 else np.full(n, np.inf)
-    return idx1, b1, b2
+def _squared_distances(pts):
+    """Yield (start, d2) over chunks of (m, n, 2) point sets: d2[s, i, j] is the
+    squared distance of points i and j of set start + s, inf on the diagonal.
+    Every chunk is written into the same two buffers, which the next overwrites."""
+    m, n, _ = pts.shape
+    xs = np.ascontiguousarray(pts[..., 0])
+    ys = np.ascontiguousarray(pts[..., 1])
+    step = max(1, min(m, _BRUTE_CELLS // (n * n)))
+    buf = np.empty((2, step, n, n))
+    diag = np.arange(n)
+    for a in range(0, m, step):
+        x, y = xs[a : a + step], ys[a : a + step]
+        d2, dy = buf[:, : len(x)]
+        # dx * dx + dy * dy
+        np.subtract(x[:, :, None], x[:, None, :], out=d2)
+        d2 *= d2
+        np.subtract(y[:, :, None], y[:, None, :], out=dy)
+        dy *= dy
+        d2 += dy
+        d2[:, diag, diag] = np.inf
+        yield a, d2
 
 
 def _two_nearest_tree(pts):
@@ -127,50 +133,41 @@ def _two_nearest_tree(pts):
     # returned, all three are at distance 0 and dropping the first is as good
     drop = (idx == np.arange(n)[:, None]).argmax(axis=1)
     keep = np.arange(3) != drop[:, None]
-    # contiguous columns: np.dot rounds a strided view differently
-    d1, d2 = np.ascontiguousarray(dist[keep].reshape(n, 2).T)
-    return idx[keep].reshape(n, 2)[:, 0], d1, d2
+    d = dist[keep].reshape(n, 2)
+    return idx[keep].reshape(n, 2)[:, 0], d[:, 0], d[:, 1]
 
 
 def two_nearest_neighbors(points):
-    """Exact first and second nearest-neighbour distances for 2-d points."""
-    pts = _check_points(points)
-    if pts.shape[0] >= _TREE_MIN_N:
-        idx1, d1, d2 = _two_nearest_tree(pts)
-        return TwoNearest(index=idx1, values=d1, second=d2)
-    idx1, b1, b2 = _two_nearest_brute(pts)
-    return TwoNearest(index=idx1, values=np.sqrt(b1), second=np.sqrt(b2))
+    """Exact first and second nearest-neighbour distances of (n, 2) or (m, n, 2) points."""
+    pts = np.asarray(points, dtype=float)
+    sets = as_samples(pts if pts.ndim == 3 else pts[None])
+    n = sets.shape[1]
+    idx1 = np.empty((len(sets), n), dtype=np.intp)
+    d1, d2 = np.empty((2, len(sets), n))
+    if n >= _TREE_MIN_N:
+        for s, p in enumerate(sets):
+            idx1[s], d1[s], d2[s] = _two_nearest_tree(p)
+    else:
+        for a, sq in _squared_distances(sets):
+            rows = slice(a, a + len(sq))
+            first = sq.argmin(axis=2)[..., None]
+            idx1[rows] = first[..., 0]
+            d1[rows] = np.sqrt(np.take_along_axis(sq, first, axis=2)[..., 0])
+            np.put_along_axis(sq, first, np.inf, axis=2)
+            d2[rows] = np.sqrt(sq.min(axis=2))
+    return TwoNearest(*(a.reshape(pts.shape[:-1]) for a in (idx1, d1, d2)))
 
 
 def nearest_distances(points):
     """Exact nearest-neighbour distances for a batch of same-size point sets.
 
-    points is (m, n, 2); row i of the (m, n) result equals
-    ``two_nearest_neighbors(points[i]).values`` bit for bit. Below the tree
-    cutoff the brute scan runs over as many sets at once as fit in
-    ``_BRUTE_CELLS`` distance cells.
+    points is (m, n, 2); the (m, n) result equals
+    ``two_nearest_neighbors(points).values`` bit for bit.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 3 or pts.shape[2] != 2:
-        raise SizeError("expected an (m, n, 2) array of point sets")
-    m, n, _ = pts.shape
-    if n < 2:
-        raise SizeError("need at least 2 points")
-    if n >= _TREE_MIN_N:
-        return np.array([two_nearest_neighbors(p).values for p in pts]).reshape(m, n)
-    xs = np.ascontiguousarray(pts[..., 0])
-    ys = np.ascontiguousarray(pts[..., 1])
-    out = np.empty((m, n))
-    step = max(1, _BRUTE_CELLS // (n * n))
-    diag = np.arange(n)
-    for a in range(0, m, step):
-        x, y = xs[a : a + step], ys[a : a + step]
-        # dx * dx + dy * dy as in the single scan, computed in place
-        d2 = x[:, :, None] - x[:, None, :]
-        d2 *= d2
-        dy = y[:, :, None] - y[:, None, :]
-        dy *= dy
-        d2 += dy
-        d2[:, diag, diag] = np.inf
-        out[a : a + step] = np.sqrt(d2.min(axis=2))
+    pts = as_samples(points)
+    if pts.shape[1] >= _TREE_MIN_N:
+        return two_nearest_neighbors(pts).values
+    out = np.empty(pts.shape[:2])
+    for a, sq in _squared_distances(pts):
+        out[a : a + len(sq)] = np.sqrt(sq.min(axis=2))
     return out

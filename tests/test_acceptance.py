@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from hellcorr.cli import _suite_figures, _suite_table1
-from hellcorr.cv import cv_score, select_cutoffs
+from hellcorr.cv import select_cutoffs
 from hellcorr.datasets import seabirds
 from hellcorr.estimator import (
     beta_hat_table,
@@ -33,13 +33,13 @@ from hellcorr.inference import (
 )
 from hellcorr.ranks_nn import (
     TwoNearest,
-    _two_nearest_brute,
     _two_nearest_tree,
     pseudo_observations,
     two_nearest_neighbors,
 )
 from hellcorr.rng import substream
 from hellcorr.transform import transform_points
+from nn_oracle import two_nearest_brute
 
 
 def report(capsys, num, ok, detail):
@@ -154,7 +154,7 @@ def test_07_fast_paths_equal_reference(capsys):
         else:
             base = rng.random((max(n // 3, 1), 2))
             pts = base[rng.integers(0, len(base), n)]
-        _, b1, b2 = _two_nearest_brute(pts)
+        _, b1, b2 = two_nearest_brute(pts)
         _, t1, t2 = _two_nearest_tree(pts)
         worst_nn = max(worst_nn, float(np.max(np.abs(np.sqrt(b1) - t1))))
         worst_second = max(worst_second, float(np.max(np.abs(np.sqrt(b2) - t2))))
@@ -178,7 +178,7 @@ def test_07_fast_paths_equal_reference(capsys):
     nn = two_nearest_neighbors(tp.points)
     res = select_cutoffs(po, nn, 4, 4, weights=tp.weights)
     worst_cv = max(
-        abs(res.scores[K, L] - cv_score(po, nn, K, L, weights=tp.weights))
+        abs(res.scores[K, L] - select_cutoffs(po, nn, K, L, weights=tp.weights).scores[K, L])
         for K in range(5)
         for L in range(5)
     )
@@ -190,7 +190,7 @@ def test_07_fast_paths_equal_reference(capsys):
     for nn in (two_nearest_neighbors(pts2), TwoNearest(*_two_nearest_tree(pts2))):
         for i in range(70):
             j = nn.index[i]
-            _, b1, _ = _two_nearest_brute(np.delete(pts2, j, axis=0))
+            _, b1, _ = two_nearest_brute(np.delete(pts2, j, axis=0))
             worst_loo = max(worst_loo, abs(nn.second[i] - math.sqrt(b1[i if i < j else i - 1])))
 
     ok = (

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hellcorr import cli
 from hellcorr.errors import DiagnosticsError
@@ -109,6 +114,26 @@ class TestBadInputs:
     def test_missing_file(self, capsys):
         assert run_cli(capsys, "estimate", "--input", "/nonexistent/x.csv")[0] == 2
 
+    def test_file_not_utf8(self, capsys, tmp_path):
+        f = tmp_path / "bin.csv"
+        f.write_bytes(b"\xff\xfe1,2\n3,4\n5,6\n")
+        code, _, err = run_cli(capsys, "estimate", "--input", str(f))
+        assert code == 2
+        assert "Traceback" not in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("spec, n", [("circle", "-5"), ("peano:d=3", "-1")])
+    def test_negative_generator_size(self, capsys, spec, n):
+        code, _, err = run_cli(capsys, "estimate", "--generator", spec, "--n", n)
+        assert code == 2
+        assert "Traceback" not in err and "at least 3 observations" in err
+
+    def test_constant_column(self, capsys, tmp_path):
+        f = tmp_path / "flat.csv"
+        f.write_text("".join(f"1.5,{v}\n" for v in gen_gaussian(30, 0.0, seed=2)[:, 1]))
+        code, _, err = run_cli(capsys, "estimate", "--input", str(f))
+        assert code == 2
+        assert "constant" in err
+
     def test_three_column_file(self, capsys, tmp_path):
         f = tmp_path / "wide.csv"
         f.write_text("1,2,3\n4,5,6\n7,8,9\n")
@@ -124,6 +149,34 @@ class TestBadInputs:
     def test_pvalue_small_m_needs_cache(self, capsys):
         code, _, _ = run_cli(capsys, "pvalue", "--generator", "circle", "--n", "50", "--m", "50")
         assert code == 2
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-5, 5),
+    st.sampled_from(["", "x", "1e999", "-0", "nan"]),
+).map(str)
+_TABLE = st.lists(
+    st.tuples(_NUMBER, _NUMBER, st.sampled_from([",", " ", "\t", ", ", ",,"])), max_size=40
+).map(lambda rows: "\n".join(f"{a}{sep}{b}" for a, b, sep in rows).encode())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=300),
+        st.text(alphabet="0123456789.,-+eE \n\t#nai", max_size=300).map(str.encode),
+        _TABLE,
+    )
+)
+def test_fuzzed_input_file_exits_cleanly(data):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "in.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["estimate", "--input", path])
+    assert code in (0, 2, 3)
 
 
 class TestPvalueCommand:

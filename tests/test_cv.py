@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from hellcorr.basis import design_matrix
-from hellcorr.cv import admissible, cv_score, select_cutoffs
+from hellcorr.cv import admissible, select_cutoffs
 from hellcorr.errors import ConfigError, SizeError
+from hellcorr.estimator import beta_hat_table
 from hellcorr.generators import gen_gaussian
-from hellcorr.ranks_nn import _two_nearest_brute, pseudo_observations, two_nearest_neighbors
+from hellcorr.ranks_nn import PseudoObs, column_ranks, pseudo_observations, two_nearest_neighbors
 from hellcorr.transform import transform_points
+from nn_oracle import two_nearest_brute
 
 
 def loo_nn_distances(points, excluded):
     """Brute-scan nearest-neighbour distances of the other points once one
     point is removed, in original order."""
-    _, b1, _ = _two_nearest_brute(np.delete(points, excluded, axis=0))
+    _, b1, _ = two_nearest_brute(np.delete(points, excluded, axis=0))
     return np.sqrt(b1)
 
 
@@ -65,7 +67,7 @@ def test_score_matches_leave_one_out_oracle(weighted):
         pts, w = po.points, None
     nn = two_nearest_neighbors(pts)
     for K, L in [(0, 2), (1, 1), (3, 2), (3, 3)]:
-        fast = cv_score(po, nn, K, L, weights=w)
+        fast = select_cutoffs(po, nn, K, L, weights=w).scores[K, L]
         slow = naive_score(po.points, pts, nn, K, L, weights=w)
         assert fast == pytest.approx(slow, abs=1e-10)
 
@@ -77,7 +79,7 @@ def test_grid_scores_equal_per_pair_scores():
     res = select_cutoffs(po, nn, kmax=4, lmax=3)
     for K in range(5):
         for L in range(4):
-            assert res.scores[K, L] == cv_score(po, nn, K, L)
+            assert res.scores[K, L] == select_cutoffs(po, nn, K, L).scores[K, L]
 
 
 def test_selection_is_admissible_argmin_with_tie_preference():
@@ -126,7 +128,46 @@ def test_argument_validation():
     with pytest.raises(ConfigError):
         select_cutoffs(po, nn, kmax=-1)
     with pytest.raises(ConfigError):
-        cv_score(po, nn, 2, -2)
+        select_cutoffs(po, nn, 2, -2)
     stub = type("P", (), {"n": 2, "points": po.points[:2]})()
     with pytest.raises(SizeError):
         select_cutoffs(stub, nn)
+
+
+def test_batched_selection_and_table_corners():
+    # the (K, L) corner of the CV coefficient table is the fixed-cutoff
+    # table at (K, L), for each sample of a batch; n = 5000 sums in two
+    # row chunks and goes to the k-d tree
+    rng = np.random.default_rng(25)
+    for n, m in ((5, 9), (40, 6), (300, 3), (5000, 2)):
+        samples = rng.normal(size=(m, n, 2))
+        samples[:, :, 1] += np.sin(3.0 * samples[:, :, 0])
+        ranks = column_ranks(samples)
+        pseudo = PseudoObs(points=ranks / (n + 1.0), ranks=ranks, n=n, tie_warning=False)
+        for weighted in (False, True):
+            if weighted:
+                tps = [transform_points(p) for p in pseudo.points]
+                pts = np.stack([tp.points for tp in tps])
+                w = np.stack([tp.weights for tp in tps])
+            else:
+                pts, w = pseudo.points, None
+            nn = two_nearest_neighbors(pts)
+            res = select_cutoffs(pseudo, nn, kmax=4, lmax=3, weights=w)
+            assert res.beta.shape == res.scores.shape == (m, 5, 4)
+            for K in range(5):
+                for L in range(4):
+                    np.testing.assert_array_equal(
+                        res.beta[:, : K + 1, : L + 1],
+                        beta_hat_table(pseudo.points, nn.values, K, L, weights=w),
+                    )
+            for i in range(m):
+                one = select_cutoffs(
+                    pseudo_observations(samples[i]),
+                    two_nearest_neighbors(pts[i]),
+                    kmax=4,
+                    lmax=3,
+                    weights=None if w is None else w[i],
+                )
+                assert one.best == res.best[i]
+                np.testing.assert_array_equal(one.scores, res.scores[i])
+                np.testing.assert_array_equal(one.beta, res.beta[i])

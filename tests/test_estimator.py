@@ -20,7 +20,7 @@ from hellcorr.estimator import (
     pearson,
 )
 from hellcorr.generators import gen_gaussian
-from hellcorr.ranks_nn import pseudo_observations, two_nearest_neighbors
+from hellcorr.ranks_nn import column_ranks, pseudo_observations, two_nearest_neighbors
 from hellcorr.transform import transform_points
 
 
@@ -179,6 +179,22 @@ class TestEstimate:
         x[0, 0] = x[1, 0]
         assert estimate(x).tie_warning
 
+    def test_constant_margin_refused(self):
+        rng = np.random.default_rng(0)
+        x = np.column_stack([np.full(50, 3.0), rng.normal(size=50)])
+        for sample in (x, x[:, ::-1]):
+            with pytest.raises(DegenerateDataError):
+                estimate(sample)
+            with pytest.raises(DegenerateDataError):
+                estimate(sample, jitter_seed=1)
+        batch = rng.normal(size=(4, 50, 2))
+        batch[2] = x
+        for cfg in (EstimateConfig(), EstimateConfig(cutoffs=(2, 2))):
+            with pytest.raises(DegenerateDataError):
+                estimate_batch(batch, cfg)
+            # the other samples alone still estimate
+            assert estimate_batch(batch[[0, 1, 3]], cfg).shape == (3,)
+
     def test_small_sample_rejected(self):
         with pytest.raises(SizeError):
             estimate(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -187,6 +203,12 @@ class TestEstimate:
         indep = estimate(gen_gaussian(500, 0.0, seed=8)).eta
         dep = estimate(gen_gaussian(500, 0.8, seed=8)).eta
         assert dep > indep
+
+
+def core_cutoffs(samples, cfg):
+    """The cutoffs the shared estimation core uses for each sample of a batch."""
+    cfg = cfg if cfg is not None else EstimateConfig()
+    return estimator_module._estimate_core(column_ranks(samples), cfg)[2]
 
 
 class TestEstimateBatch:
@@ -231,12 +253,38 @@ class TestEstimateBatch:
                     b = estimate_batch(samples[:, :, ::-1], EstimateConfig(cutoffs=(L, K), transform=transform))
                     np.testing.assert_array_equal(a, b)
 
-    def test_needs_fixed_cutoffs_and_batched_samples(self):
+    @pytest.mark.parametrize("n", [12, 40, 500])
+    def test_cross_validated_batch_equals_single_estimates(self, n):
+        rng = np.random.default_rng(46 + n)
+        samples = rng.normal(size=(64, n, 2))
+        samples[::2, :, 1] += rng.uniform(0.0, 2.0, size=(32, 1)) * samples[::2, :, 0] ** 2
+        for cfg in (EstimateConfig(), EstimateConfig(transform="none"), None):
+            singles = [estimate(x, cfg) for x in samples]
+            for size in (1, 7, 64):
+                parts = [samples[a : a + size] for a in range(0, 64, size)]
+                got = np.concatenate([estimate_batch(p, cfg) for p in parts])
+                np.testing.assert_array_equal(got, [r.eta for r in singles])
+                cutoffs = [c for p in parts for c in core_cutoffs(p, cfg)]
+                assert cutoffs == [r.cutoffs for r in singles]
+            assert len(set(cutoffs)) > 1
+
+    def test_cross_validated_column_swap(self):
+        rng = np.random.default_rng(47)
+        for n in (12, 300):
+            samples = rng.normal(size=(24, n, 2))
+            samples[:, :, 1] += rng.uniform(0.0, 2.0, size=(24, 1)) * np.abs(samples[:, :, 0])
+            for transform in ("beta66", "none"):
+                cfg = EstimateConfig(kmax=4, lmax=3, transform=transform)
+                swapped_cfg = EstimateConfig(kmax=3, lmax=4, transform=transform)
+                a = estimate_batch(samples, cfg)
+                b = estimate_batch(samples[:, :, ::-1], swapped_cfg)
+                np.testing.assert_array_equal(a, b)
+                picks = core_cutoffs(samples, cfg)
+                assert [(L, K) for K, L in picks] == core_cutoffs(samples[:, :, ::-1], swapped_cfg)
+                assert len(set(picks)) > 1
+
+    def test_rejects_misshaped_samples(self):
         samples = np.random.default_rng(44).random((3, 10, 2))
-        with pytest.raises(ConfigError):
-            estimate_batch(samples, EstimateConfig())
-        with pytest.raises(ConfigError):
-            estimate_batch(samples, None)
         fixed = EstimateConfig(cutoffs=(1, 1))
         with pytest.raises(SizeError):
             estimate_batch(samples[0], fixed)

@@ -146,6 +146,15 @@ class TestNullTable:
         ref = sorted(estimate(substream(29, "null", i).random((n, 2)), fixed).eta for i in range(m))
         np.testing.assert_allclose(tables[0].draws, ref, rtol=0, atol=1e-12)
 
+    def test_cross_validated_blocks_and_threads(self):
+        n, m = 300, 30
+        assert m % (BATCH_POINTS // n) != 0
+        tables = [null_table(n, m, seed=33, threads=t) for t in (1, 2, 3)]
+        for t in tables[1:]:
+            np.testing.assert_array_equal(t.draws, tables[0].draws)
+        ref = sorted(estimate(substream(33, "null", i).random((n, 2))).eta for i in range(m))
+        np.testing.assert_array_equal(tables[0].draws, ref)
+
     def test_draws_sorted_and_in_range(self):
         t = null_table(60, 30, seed=10)
         assert np.all(np.diff(t.draws) >= 0)

@@ -11,13 +11,13 @@ from hellcorr.estimator import b_hat_raw
 from hellcorr.generators import gen_gaussian
 from hellcorr.ranks_nn import (
     TwoNearest,
-    _two_nearest_brute,
     _two_nearest_tree,
     column_ranks,
     nearest_distances,
     pseudo_observations,
     two_nearest_neighbors,
 )
+from nn_oracle import two_nearest_brute
 
 
 def rand_points(rng, n, style):
@@ -36,7 +36,7 @@ def rand_points(rng, n, style):
 
 def brute(pts):
     """The brute scan as distances: the oracle for every other path."""
-    idx1, b1, b2 = _two_nearest_brute(pts)
+    idx1, b1, b2 = two_nearest_brute(pts)
     return idx1, np.sqrt(b1), np.sqrt(b2)
 
 
@@ -129,6 +129,19 @@ class TestNearestDistances:
 
 
 class TestTwoNearest:
+    def test_batch_equals_oracle(self):
+        # a brute step holds 1820 sets at n = 12, 6 at n = 200 and one from
+        # n = 363 on, so these batches cross chunk boundaries
+        rng = np.random.default_rng(16)
+        for n, m in ((2, 4), (3, 7), (12, 1830), (200, 13), (600, 3), (1023, 2), (1024, 2)):
+            for style in ("uniform", "duplicates"):
+                pts = np.stack([rand_points(rng, n, style) for _ in range(m)])
+                nn = two_nearest_neighbors(pts)
+                assert nn.index.shape == nn.values.shape == nn.second.shape == (m, n)
+                np.testing.assert_array_equal(nn.values, nearest_distances(pts))
+                for i in range(m):
+                    assert_matches_brute(pts[i], nn.index[i], nn.values[i], nn.second[i])
+
     def test_tree_equals_brute_bitwise(self):
         rng = np.random.default_rng(7)
         for style in ("uniform", "gaussian", "clustered", "duplicates"):
