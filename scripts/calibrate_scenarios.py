@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 import hellcorr as hc
-from hellcorr.cli import _REF_TABLE2
+from hellcorr.reproduce import REF_TABLE2
 from hellcorr.rng import substream
 
 CRIT = 0.152  # n=500 upper-5% point of the independence null (precomputed)
@@ -27,7 +27,7 @@ def main():
             [hc.estimate(hc.gen_scenario(name, 500, substream(0, "cal", name, r))).eta
              for r in range(reps)]
         )
-        ref = _REF_TABLE2[hc.generators.canonical_scenario(name)][0]
+        ref = REF_TABLE2[hc.generators.canonical_scenario(name)][0]
         print(
             f"{name:15s} mean {etas.mean():.3f}  sd {etas.std(ddof=1):.3f}  "
             f"min {etas.min():.3f}  sig {np.mean(etas > CRIT):.2f}  ref {ref:.3f}"

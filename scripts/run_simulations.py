@@ -1,19 +1,20 @@
 """Run the packaged simulation suites and collect their reports.
 
-Wraps the CLI reproduce command: each suite writes one JSON document under
-results/ and the script exits non-zero if any suite's checks fail.
+Wraps the CLI reproduce command over the suites of ``hellcorr.reproduce``:
+each suite writes one JSON document under results/ and the script exits
+non-zero if any suite's checks fail.
 
 Usage: python3 scripts/run_simulations.py [--scale desk|full] [--seed S] [suite ...]
 """
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
 
 from hellcorr.cli import main as cli_main
-
-SUITES = ("table1", "table2", "figure2", "figure3")
+from hellcorr.reproduce import SUITES
 
 
 def main():
@@ -34,16 +35,11 @@ def main():
     failed = []
     for suite in args.suites or SUITES:
         path = outdir / f"{suite}_{args.scale}_seed{args.seed}.json"
-        with path.open("w") as fh:
-            old = sys.stdout
-            sys.stdout = fh
-            try:
-                code = cli_main(
-                    ["reproduce", suite, "--scale", args.scale,
-                     "--seed", str(args.seed), "--threads", str(args.threads)]
-                )
-            finally:
-                sys.stdout = old
+        with path.open("w") as fh, contextlib.redirect_stdout(fh):
+            code = cli_main(
+                ["reproduce", suite, "--scale", args.scale,
+                 "--seed", str(args.seed), "--threads", str(args.threads)]
+            )
         doc = json.loads(path.read_text())
         status = "ok" if code == 0 and doc.get("all_pass") else "FAILED"
         print(f"{suite:8s} {status}  -> {path}")

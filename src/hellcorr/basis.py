@@ -68,18 +68,3 @@ def tensor_sums(weights, P, Q):
             out[a : a + reps] += np.einsum("mi,mci->mc", w[a : a + reps, i : i + rows], prod)
     return out.reshape((*batch, kp, lp))
 
-
-def basis_eval(k, u):
-    """Value of the degree-k orthonormal shifted Legendre polynomial at u."""
-    if k < 0:
-        raise DomainError("degree must be >= 0")
-    scalar = np.isscalar(u)
-    vals = design_matrix(u, k)[:, k]
-    return float(vals[0]) if scalar else vals
-
-
-def basis_row(u1, u2, K, L):
-    """Tensor-product values b_k(u1) * b_l(u2) as a (K+1, L+1) matrix."""
-    p = design_matrix(u1, K)[0]
-    q = design_matrix(u2, L)[0]
-    return np.outer(p, q)

@@ -1,28 +1,28 @@
-"""Command-line front end.
+"""Command-line front end: parses arguments, reads input, writes documents.
 
 Subcommands: estimate (point estimate from a file or generator), pvalue
 (Monte-Carlo significance with an optional cached null table), ci
-(double-bootstrap confidence interval), reproduce (the packaged
-simulation-study suites at desk or full scale). Output is versioned JSON
-by default, CSV on request; runs are bit-reproducible given --seed.
+(double-bootstrap confidence interval), reproduce (runs one of the
+simulation-study suites that ``hellcorr.reproduce`` holds, at desk or full
+scale). Output is versioned JSON by default, CSV on request; runs are
+bit-reproducible given --seed.
 
 Exit codes: 0 success, 2 input or configuration error, 3 diagnostics
 failure inside a numerical procedure.
 """
 
 import argparse
-import io
 import json
 import os
-import statistics
 import sys
 from dataclasses import replace
 
 import numpy as np
 
+from . import reproduce
 from .errors import ConfigError, DiagnosticsError, HellcorrError, SizeError
 from .estimator import EstimateConfig, estimate, pearson
-from .generators import GeneratorSpec, SCENARIOS, gen_cross, gen_gaussian, gen_peano, gen_scenario
+from .generators import GeneratorSpec
 from .inference import (
     critical_value,
     load_null_table,
@@ -31,27 +31,7 @@ from .inference import (
     bootstrap_ci,
     save_null_table,
 )
-from .rng import substream
 from .version import __version__
-
-_REF_TABLE1 = {0.4: (0.003, 0.0023), 0.8: (0.009, 0.00051)}
-_REF_TABLE2 = {
-    "W": (0.894, 0.007),
-    "Diamond": (0.599, 0.050),
-    "Parabola": (0.798, 0.057),
-    "Two Parabolae": (0.912, 0.014),
-    "Circle": (0.839, 0.019),
-    "4 clouds": (0.080, 0.067),
-    "Cubic": (0.746, 0.040),
-    "Sine": (0.920, 0.013),
-    "Wedge": (0.755, 0.048),
-    "Cross": (0.734, 0.038),
-    "Spiral": (0.957, 0.008),
-    "Circles": (0.914, 0.012),
-    "Heavysine": (0.964, 0.005),
-    "Doppler": (0.461, 0.146),
-    "5 clouds": (0.136, 0.081),
-}
 
 
 def build_parser():
@@ -93,7 +73,7 @@ def build_parser():
     sp.add_argument("--level", type=float, default=0.95)
 
     sp = sub.add_parser("reproduce", help="packaged simulation suites")
-    sp.add_argument("suite", choices=("table1", "table2", "figure2", "figure3"))
+    sp.add_argument("suite", choices=tuple(reproduce.SUITES))
     sp.add_argument("--scale", choices=("desk", "full"), default="desk")
     run_flags(sp)
     return p
@@ -108,7 +88,9 @@ def load_table_file(path):
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not a UTF-8 text table: {exc.reason}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # the rows loadtxt reads: comments cut off, blank lines dropped
+    lines = [ln.split("#", 1)[0] for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise ConfigError(f"{path} is empty")
     delim = "," if "," in lines[0] else None
@@ -122,8 +104,10 @@ def load_table_file(path):
             return False
 
     skip = 0 if all(numeric(t) for t in head) else 1
+    if skip == len(lines):
+        raise ConfigError(f"{path} has no data rows")
     try:
-        arr = np.loadtxt(io.StringIO(text), delimiter=delim, skiprows=skip, ndmin=2)
+        arr = np.loadtxt(lines[skip:], delimiter=delim, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     if arr.shape[1] != 2:
@@ -237,131 +221,8 @@ def cmd_ci(args):
     return doc
 
 
-def _suite_table1(scale, seed, threads):
-    reps = 200 if scale == "desk" else 1000
-    n = 500
-    rows = []
-    for rho, (ref_bias, ref_mse) in sorted(_REF_TABLE1.items()):
-        etas = [
-            estimate(gen_gaussian(n, rho, substream(seed, "t1", int(rho * 10), r))).eta
-            for r in range(reps)
-        ]
-        bias = statistics.fmean(etas) - rho
-        mse = statistics.fmean((e - rho) ** 2 for e in etas)
-        tol_mse = 0.006 if rho < 0.6 else 0.002
-        rows.append(
-            {
-                "rho": rho,
-                "replicates": reps,
-                "bias": bias,
-                "mse": mse,
-                "reference_bias": ref_bias,
-                "reference_mse": ref_mse,
-                "pass": bool(abs(bias) <= 0.03 and mse <= tol_mse),
-            }
-        )
-    return rows
-
-
-def _suite_table2(scale, seed, threads):
-    reps = 100 if scale == "desk" else 500
-    n = 500
-    table = null_table(
-        n, 1000 if scale == "desk" else 2000, seed=substream_seed(seed, "t2null"), threads=threads
-    )
-    crit = critical_value(table, 0.05)
-    rows = []
-    for name in SCENARIOS:
-        etas = [
-            estimate(gen_scenario(name, n, substream(seed, "t2", name, r))).eta
-            for r in range(reps)
-        ]
-        mean = statistics.fmean(etas)
-        sd = statistics.stdev(etas)
-        reject = statistics.fmean(1.0 if e > crit else 0.0 for e in etas)
-        ref_mean, ref_sd = _REF_TABLE2[name]
-        if name == "Circle":
-            ok = abs(mean - ref_mean) <= 0.10
-        elif name == "W":
-            ok = mean >= 0.80
-        elif name == "4 clouds":
-            ok = abs(reject - 0.05) <= 0.03
-        else:
-            ok = True
-        rows.append(
-            {
-                "scenario": name,
-                "replicates": reps,
-                "mean_eta": mean,
-                "sd_eta": sd,
-                "rejection_rate": reject,
-                "reference_mean": ref_mean,
-                "reference_sd": ref_sd,
-                "pass": bool(ok),
-            }
-        )
-    return rows
-
-
-def substream_seed(seed, tag):
-    """Stable derived integer seed for nested procedures."""
-    return int(substream(seed, tag).integers(0, 2**63))
-
-
-def _suite_figures(kind, scale, seed, threads):
-    gen = gen_peano if kind == "peano" else gen_cross
-    depths = (1, 2, 3, 4)
-    reps = 100 if scale == "desk" else 200
-    reps_big = 20 if scale == "desk" else 100
-    table = null_table(
-        500, 500 if scale == "desk" else 2000, seed=substream_seed(seed, "fignull"), threads=threads
-    )
-    crit = critical_value(table, 0.05)
-    rows = []
-    prev_med = None
-    for d in depths:
-        etas = [
-            estimate(gen(500, d, substream(seed, kind, d, r))).eta for r in range(reps)
-        ]
-        med = statistics.median(etas)
-        row = {
-            "d": d,
-            "replicates": reps,
-            "median_eta_n500": med,
-            "significant_n500": statistics.fmean(1.0 if e > crit else 0.0 for e in etas),
-            "monotone": bool(prev_med is None or med <= prev_med + 1e-12),
-        }
-        if d <= 3:
-            big = [
-                estimate(gen(5000, d, substream(seed, kind, "big", d, r))).eta
-                for r in range(reps_big)
-            ]
-            row["median_eta_n5000"] = statistics.median(big)
-            row["larger_n_increases"] = bool(row["median_eta_n5000"] > med)
-        prev_med = med
-        rows.append(row)
-    return rows
-
-
 def cmd_reproduce(args):
-    if args.suite == "table1":
-        rows = _suite_table1(args.scale, args.seed, args.threads)
-    elif args.suite == "table2":
-        rows = _suite_table2(args.scale, args.seed, args.threads)
-    elif args.suite == "figure2":
-        rows = _suite_figures("peano", args.scale, args.seed, args.threads)
-    else:
-        rows = _suite_figures("cross", args.scale, args.seed, args.threads)
-    flags = [r.get("pass", True) and r.get("monotone", True) for r in rows]
-    return {
-        "schema": "hellcorr/reproduce@1",
-        "version": __version__,
-        "suite": args.suite,
-        "scale": args.scale,
-        "seed": args.seed,
-        "rows": rows,
-        "all_pass": bool(all(flags)),
-    }
+    return reproduce.run(args.suite, args.scale, args.seed, args.threads)
 
 
 def _emit(doc, fmt, out):

@@ -80,19 +80,19 @@ def admissible(K, L, kmax, lmax):
     return K + L >= min(2, kmax + lmax)
 
 
-def select_cutoffs(pseudo, nn, kmax=5, lmax=5, weights=None):
+def select_cutoffs(points, nn, kmax=5, lmax=5, weights=None):
     """Scan the cutoff grid and pick the admissible minimiser.
 
-    pseudo holds the rank points of one sample, (n, 2), or of a batch of
+    points are the rank points of one sample, (n, 2), or of a batch of
     same-size samples, (m, n, 2); nn and weights match them. The full score
     grid is computed for every pair up to (kmax, lmax); ties prefer the
     smaller K + L, then the smaller K.
     """
     if kmax < 0 or lmax < 0:
         raise ConfigError("cutoff bounds must be non-negative")
-    if pseudo.n < 3:
+    if points.shape[-2] < 3:
         raise SizeError("cross-validation needs at least 3 observations")
-    beta, cross = _cell_tables(pseudo.points, nn, kmax, lmax, weights)
+    beta, cross = _cell_tables(points, nn, kmax, lmax, weights)
     scores = _corner_sums(beta * beta) - 2.0 * _corner_sums(cross)
     # admissible pairs in order of preference; argmin keeps the first minimum
     pairs = [(K, s - K) for s in range(kmax + lmax + 1) for K in range(min(s, kmax) + 1)]

@@ -21,9 +21,9 @@ import numpy as np
 
 from .basis import BATCH_POINTS, MAX_DEGREE, design_matrix, tensor_sums
 from .cv import CvResult, select_cutoffs
-from .errors import ConfigError, DegenerateDataError, DomainError, SizeError
+from .errors import ConfigError, DegenerateDataError, DomainError
 from .ranks_nn import (
-    PseudoObs, as_sample, as_samples, column_ranks, nearest_distances, pseudo_observations,
+    as_sample, as_samples, column_ranks, nearest_distances, pseudo_observations,
     two_nearest_neighbors,
 )
 from .transform import beta66_pdf, beta66_quantile
@@ -109,6 +109,9 @@ def gaussian_H2(rho):
 def pearson(sample):
     """Plain product-moment correlation."""
     arr = as_sample(sample)
+    # scaling a column by a power of two is exact; bringing its largest magnitude
+    # into [0.5, 1) keeps the means and the dot products from over- or underflowing
+    arr = np.ldexp(arr, -np.frexp(np.max(np.abs(arr), axis=0))[1])
     xc = arr[:, 0] - arr[:, 0].mean()
     yc = arr[:, 1] - arr[:, 1].mean()
     den = math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
@@ -125,18 +128,6 @@ def _rank_transform_tables(n):
     tq.flags.writeable = False
     sw.flags.writeable = False
     return tq, sw
-
-
-def b_hat_raw(nn_values, weights=None, n=None):
-    """Plug-in estimate of B from nearest-neighbour distances."""
-    v = np.asarray(nn_values, dtype=float)
-    n = v.shape[0] if n is None else n
-    if n < 2:
-        raise SizeError("need at least 2 observations")
-    cn = 2.0 * math.sqrt(n - 1.0) / n
-    if weights is None:
-        return cn * float(np.sum(v))
-    return cn * float(np.dot(v, np.asarray(weights, dtype=float)))
 
 
 def beta_hat_table(points, nn_values, K, L, weights=None):
@@ -202,9 +193,8 @@ def _estimate_core(ranks, cfg):
     points = ranks / (n + 1.0)
     dist_pts, wts = _distance_points(ranks, cfg.transform)
     if cfg.cutoffs is None:
-        pseudo = PseudoObs(points=points, ranks=ranks, n=n, tie_warning=False)
         nn = two_nearest_neighbors(dist_pts)
-        cv = select_cutoffs(pseudo, nn, cfg.kmax, cfg.lmax, weights=wts)
+        cv = select_cutoffs(points, nn, cfg.kmax, cfg.lmax, weights=wts)
         cutoffs = cv.best
         k, l = np.ogrid[: cfg.kmax + 1, : cfg.lmax + 1]
         K, L = np.reshape(cutoffs, (-1, 2)).T[..., None, None]

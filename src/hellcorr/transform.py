@@ -6,10 +6,8 @@ well, and the change of variables is undone by the sqrt-density weights
 carried alongside the transformed points.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.special import betainc, betaincinv
+from scipy.special import betaincinv
 
 from .errors import DomainError
 
@@ -25,13 +23,6 @@ def beta66_pdf(t):
     return out if out.ndim else float(out)
 
 
-def beta66_cdf(t):
-    """Distribution function of Beta(6,6)."""
-    t = np.asarray(t, dtype=float)
-    out = betainc(_A, _A, np.clip(t, 0.0, 1.0))
-    return out if out.ndim else float(out)
-
-
 def beta66_quantile(p):
     """Quantile function of Beta(6,6); defined on the open interval only."""
     p = np.asarray(p, dtype=float)
@@ -40,23 +31,3 @@ def beta66_quantile(p):
     out = betaincinv(_A, _A, p)
     return out if out.ndim else float(out)
 
-
-@dataclass(frozen=True)
-class TransformedPoints:
-    """Transformed rank points plus the matching sqrt-density weights."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def transform_points(pseudo_points):
-    """Map rank points through the Beta(6,6) quantile, with weights.
-
-    The weight for a point is the product over both coordinates of the square
-    root of the Beta(6,6) density at the transformed coordinate.
-    """
-    u = np.asarray(pseudo_points, dtype=float)
-    t = beta66_quantile(u)
-    dens = beta66_pdf(t)
-    w = np.sqrt(dens[:, 0]) * np.sqrt(dens[:, 1])
-    return TransformedPoints(points=t, weights=w)

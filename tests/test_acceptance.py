@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hellcorr.cli import _suite_figures, _suite_table1
 from hellcorr.cv import select_cutoffs
 from hellcorr.datasets import seabirds
 from hellcorr.estimator import (
@@ -22,7 +21,7 @@ from hellcorr.estimator import (
     gaussian_B,
     pearson,
 )
-from hellcorr.basis import basis_eval
+from hellcorr.basis import design_matrix
 from hellcorr.generators import gen_gaussian, gen_scenario
 from hellcorr.inference import (
     bootstrap_ci,
@@ -37,9 +36,9 @@ from hellcorr.ranks_nn import (
     pseudo_observations,
     two_nearest_neighbors,
 )
+from hellcorr.reproduce import suite_figures, suite_table1
 from hellcorr.rng import substream
-from hellcorr.transform import transform_points
-from nn_oracle import two_nearest_brute
+from oracles import transform_points, two_nearest_brute
 
 
 def report(capsys, num, ok, detail):
@@ -59,7 +58,7 @@ def test_01_scale_map_roundtrip(capsys):
 
 
 def test_02_gaussian_bias_and_mse(capsys):
-    rows = _suite_table1("desk", 7, 1)
+    rows = suite_table1("desk", 7, 1)
     parts, ok = [], True
     for row in rows:
         mse_tol = 0.006 if row["rho"] < 0.6 else 0.002
@@ -127,7 +126,7 @@ def test_05_scenario_benchmarks(capsys, nt500):
 def test_06_space_filling_trends(capsys):
     parts, ok = [], True
     for kind in ("peano", "cross"):
-        rows = _suite_figures(kind, "desk", 13, 1)
+        rows = suite_figures(kind, "desk", 13, 1)
         meds = [r["median_eta_n500"] for r in rows]
         ok = ok and all(r["monotone"] for r in rows)
         for r in rows:
@@ -168,7 +167,7 @@ def test_07_fast_paths_equal_reference(capsys):
     for k in range(4):
         for l in range(4):
             ref = cn * sum(
-                v[i] * w[i] * basis_eval(k, pts[i, 0]) * basis_eval(l, pts[i, 1])
+                v[i] * w[i] * design_matrix(pts[i, 0], k)[0, k] * design_matrix(pts[i, 1], l)[0, l]
                 for i in range(30)
             )
             worst_beta = max(worst_beta, abs(table[k, l] - ref))
@@ -176,9 +175,9 @@ def test_07_fast_paths_equal_reference(capsys):
     po = pseudo_observations(rng.normal(size=(80, 2)))
     tp = transform_points(po.points)
     nn = two_nearest_neighbors(tp.points)
-    res = select_cutoffs(po, nn, 4, 4, weights=tp.weights)
+    res = select_cutoffs(po.points, nn, 4, 4, weights=tp.weights)
     worst_cv = max(
-        abs(res.scores[K, L] - select_cutoffs(po, nn, K, L, weights=tp.weights).scores[K, L])
+        abs(res.scores[K, L] - select_cutoffs(po.points, nn, K, L, weights=tp.weights).scores[K, L])
         for K in range(5)
         for L in range(5)
     )

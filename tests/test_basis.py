@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import eval_sh_legendre
 
-from hellcorr.basis import MAX_DEGREE, basis_eval, basis_row, design_matrix
+from hellcorr.basis import MAX_DEGREE, design_matrix
 from hellcorr.errors import CapabilityError, DomainError
 
 
@@ -50,13 +50,17 @@ def test_domain_checks():
 
 
 def test_basis_eval_scalar_and_row():
-    assert basis_eval(0, 0.3) == 1.0
-    assert basis_eval(1, 0.5) == pytest.approx(0.0, abs=1e-15)
-    row = basis_row(0.3, 0.7, 2, 3)
+    assert design_matrix(0.3, 0)[0, 0] == 1.0
+    assert design_matrix(0.5, 1)[0, 1] == pytest.approx(0.0, abs=1e-15)
+    # a scalar gives one row; the tensor values are the outer product of two rows
+    p, q = design_matrix(0.3, 2), design_matrix(0.7, 3)
+    assert p.shape == (1, 3) and q.shape == (1, 4)
+    row = np.outer(p, q)
     assert row.shape == (3, 4)
-    assert row[1, 2] == pytest.approx(basis_eval(1, 0.3) * basis_eval(2, 0.7))
+    b1, b2 = np.sqrt(3.0) * (2 * 0.3 - 1), np.sqrt(5.0) * (6 * 0.49 - 6 * 0.7 + 1)
+    assert row[1, 2] == pytest.approx(b1 * b2)
 
 
 @given(st.floats(0.0, 1.0), st.integers(0, MAX_DEGREE))
 def test_bounded_by_sqrt_2k_plus_1(u, k):
-    assert abs(basis_eval(k, u)) <= np.sqrt(2.0 * k + 1.0) + 1e-9
+    assert abs(design_matrix(u, k)[0, k]) <= np.sqrt(2.0 * k + 1.0) + 1e-9

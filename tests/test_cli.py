@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hellcorr import cli
+from hellcorr import cli, reproduce
 from hellcorr.errors import DiagnosticsError
 from hellcorr.estimator import estimate
 from hellcorr.generators import gen_gaussian
@@ -59,6 +59,18 @@ class TestEstimateCommand:
         assert doc["eta"] == pytest.approx(estimate(arr).eta, abs=1e-9)
         assert doc["source"] == str(f)
 
+    def test_comments_and_blank_lines(self, capsys, tmp_path):
+        f = tmp_path / "data.csv"
+        arr = gen_gaussian(60, 0.5, seed=0)
+        rows = [f"{a},{b}" for a, b in arr.tolist()]
+        rows[0] += "  # first row"
+        f.write_text("\n# sample of 60\nx,y  # names\n\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(f))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["n"] == 60
+        assert doc["eta"] == estimate(arr).eta
+
     def test_whitespace_file_no_header(self, capsys, tmp_path):
         f = tmp_path / "data.txt"
         arr = gen_gaussian(40, 0.3, seed=1)
@@ -85,6 +97,20 @@ class TestEstimateCommand:
         keys = [line.split(",", 1)[0] for line in out.strip().splitlines()]
         assert keys == sorted(keys)
         assert "eta" in keys
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_values_give_valid_json(self, capsys, tmp_path):
+        f = tmp_path / "huge.csv"
+        rows = (gen_gaussian(30, 0.5, seed=4) * 1e200).tolist()
+        f.write_text("".join(f"{a!r},{b!r}\n" for a, b in rows))
+        code, out, err = run_cli(capsys, "estimate", "--input", str(f))
+        assert code == 0, err
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert -1.0 <= doc["pearson"] <= 1.0
 
 
 class TestBadInputs:
@@ -133,6 +159,16 @@ class TestBadInputs:
         code, _, err = run_cli(capsys, "estimate", "--input", str(f))
         assert code == 2
         assert "constant" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["x,y\n", "x,y\n# rows to come\n\n"])
+    def test_header_only_file(self, capsys, tmp_path, text):
+        f = tmp_path / "head.csv"
+        f.write_text(text)
+        code, _, err = run_cli(capsys, "estimate", "--input", str(f))
+        assert code == 2
+        assert "no data rows" in err
+        assert "UserWarning" not in err and "Traceback" not in err
 
     def test_three_column_file(self, capsys, tmp_path):
         f = tmp_path / "wide.csv"
@@ -316,7 +352,7 @@ class TestReproduceCommand:
             seen.append(kwargs.get("threads"))
             raise Built
 
-        monkeypatch.setattr(cli, "null_table", record)
+        monkeypatch.setattr(reproduce, "null_table", record)
         for suite in ("table2", "figure2", "figure3"):
             with pytest.raises(Built):
                 cli.main(["reproduce", suite, "--threads", "3"])

@@ -8,9 +8,8 @@ from hellcorr.cv import admissible, select_cutoffs
 from hellcorr.errors import ConfigError, SizeError
 from hellcorr.estimator import beta_hat_table
 from hellcorr.generators import gen_gaussian
-from hellcorr.ranks_nn import PseudoObs, column_ranks, pseudo_observations, two_nearest_neighbors
-from hellcorr.transform import transform_points
-from nn_oracle import two_nearest_brute
+from hellcorr.ranks_nn import column_ranks, pseudo_observations, two_nearest_neighbors
+from oracles import transform_points, two_nearest_brute
 
 
 def loo_nn_distances(points, excluded):
@@ -67,7 +66,7 @@ def test_score_matches_leave_one_out_oracle(weighted):
         pts, w = po.points, None
     nn = two_nearest_neighbors(pts)
     for K, L in [(0, 2), (1, 1), (3, 2), (3, 3)]:
-        fast = select_cutoffs(po, nn, K, L, weights=w).scores[K, L]
+        fast = select_cutoffs(po.points, nn, K, L, weights=w).scores[K, L]
         slow = naive_score(po.points, pts, nn, K, L, weights=w)
         assert fast == pytest.approx(slow, abs=1e-10)
 
@@ -76,17 +75,17 @@ def test_grid_scores_equal_per_pair_scores():
     rng = np.random.default_rng(22)
     po = pseudo_observations(rng.normal(size=(60, 2)))
     nn = two_nearest_neighbors(po.points)
-    res = select_cutoffs(po, nn, kmax=4, lmax=3)
+    res = select_cutoffs(po.points, nn, kmax=4, lmax=3)
     for K in range(5):
         for L in range(4):
-            assert res.scores[K, L] == select_cutoffs(po, nn, K, L).scores[K, L]
+            assert res.scores[K, L] == select_cutoffs(po.points, nn, K, L).scores[K, L]
 
 
 def test_selection_is_admissible_argmin_with_tie_preference():
     rng = np.random.default_rng(23)
     po = pseudo_observations(rng.normal(size=(80, 2)))
     nn = two_nearest_neighbors(po.points)
-    res = select_cutoffs(po, nn, kmax=5, lmax=5)
+    res = select_cutoffs(po.points, nn, kmax=5, lmax=5)
     best, best_score = None, math.inf
     for s in range(11):
         for K in range(min(s, 5) + 1):
@@ -117,7 +116,7 @@ def test_moderate_dependence_prefers_small_cutoffs():
         po = pseudo_observations(sample)
         tp = transform_points(po.points)
         nn = two_nearest_neighbors(tp.points)
-        picks.append(select_cutoffs(po, nn, weights=tp.weights).best)
+        picks.append(select_cutoffs(po.points, nn, weights=tp.weights).best)
     assert picks.count((1, 1)) > len(picks) / 2
 
 
@@ -126,12 +125,11 @@ def test_argument_validation():
     po = pseudo_observations(rng.normal(size=(10, 2)))
     nn = two_nearest_neighbors(po.points)
     with pytest.raises(ConfigError):
-        select_cutoffs(po, nn, kmax=-1)
+        select_cutoffs(po.points, nn, kmax=-1)
     with pytest.raises(ConfigError):
-        select_cutoffs(po, nn, 2, -2)
-    stub = type("P", (), {"n": 2, "points": po.points[:2]})()
+        select_cutoffs(po.points, nn, 2, -2)
     with pytest.raises(SizeError):
-        select_cutoffs(stub, nn)
+        select_cutoffs(po.points[:2], nn)
 
 
 def test_batched_selection_and_table_corners():
@@ -143,26 +141,26 @@ def test_batched_selection_and_table_corners():
         samples = rng.normal(size=(m, n, 2))
         samples[:, :, 1] += np.sin(3.0 * samples[:, :, 0])
         ranks = column_ranks(samples)
-        pseudo = PseudoObs(points=ranks / (n + 1.0), ranks=ranks, n=n, tie_warning=False)
+        points = ranks / (n + 1.0)
         for weighted in (False, True):
             if weighted:
-                tps = [transform_points(p) for p in pseudo.points]
+                tps = [transform_points(p) for p in points]
                 pts = np.stack([tp.points for tp in tps])
                 w = np.stack([tp.weights for tp in tps])
             else:
-                pts, w = pseudo.points, None
+                pts, w = points, None
             nn = two_nearest_neighbors(pts)
-            res = select_cutoffs(pseudo, nn, kmax=4, lmax=3, weights=w)
+            res = select_cutoffs(points, nn, kmax=4, lmax=3, weights=w)
             assert res.beta.shape == res.scores.shape == (m, 5, 4)
             for K in range(5):
                 for L in range(4):
                     np.testing.assert_array_equal(
                         res.beta[:, : K + 1, : L + 1],
-                        beta_hat_table(pseudo.points, nn.values, K, L, weights=w),
+                        beta_hat_table(points, nn.values, K, L, weights=w),
                     )
             for i in range(m):
                 one = select_cutoffs(
-                    pseudo_observations(samples[i]),
+                    pseudo_observations(samples[i]).points,
                     two_nearest_neighbors(pts[i]),
                     kmax=4,
                     lmax=3,

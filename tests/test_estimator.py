@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hellcorr.estimator as estimator_module
-from hellcorr.basis import basis_eval, design_matrix
+from hellcorr.basis import design_matrix
 from hellcorr.errors import ConfigError, DegenerateDataError, DomainError, SizeError
 from hellcorr.estimator import (
     EstimateConfig,
-    b_hat_raw,
     beta_hat_table,
     estimate,
     estimate_batch,
@@ -21,7 +20,7 @@ from hellcorr.estimator import (
 )
 from hellcorr.generators import gen_gaussian
 from hellcorr.ranks_nn import column_ranks, pseudo_observations, two_nearest_neighbors
-from hellcorr.transform import transform_points
+from oracles import b_hat_raw, transform_points
 
 
 def oracle_eta(sample, K, L, transform):
@@ -91,7 +90,8 @@ class TestCoefficients:
         for k in range(4):
             for l in range(5):
                 ref = cn * sum(
-                    v[i] * w[i] * basis_eval(k, pts[i, 0]) * basis_eval(l, pts[i, 1])
+                    v[i] * w[i] * design_matrix(pts[i, 0], k)[0, k]
+                    * design_matrix(pts[i, 1], l)[0, l]
                     for i in range(40)
                 )
                 assert table[k, l] == pytest.approx(ref, abs=1e-12)
@@ -353,6 +353,18 @@ class TestPearson:
         x = np.column_stack([np.ones(10), np.arange(10.0)])
         with pytest.raises(DegenerateDataError):
             pearson(x)
+
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_scales(self):
+        # the squared sums of 1e200 overflow and those of 1e-200 underflow
+        # unless each column is brought to unit scale first; so does the sum
+        # behind the mean near the largest float
+        x = np.random.default_rng(35).normal(size=(30, 2))
+        r = pearson(x)
+        assert pearson(x * 2.0**600) == r
+        assert pearson(x * 2.0**-600) == r
+        for s in (1e200, 1e-200, (1e200, 1e-200), 1e307):
+            assert pearson(x * s) == pytest.approx(r, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)

@@ -7,7 +7,6 @@ from scipy.stats import rankdata
 
 from hellcorr.cv import select_cutoffs
 from hellcorr.errors import SizeError
-from hellcorr.estimator import b_hat_raw
 from hellcorr.generators import gen_gaussian
 from hellcorr.ranks_nn import (
     TwoNearest,
@@ -17,7 +16,7 @@ from hellcorr.ranks_nn import (
     pseudo_observations,
     two_nearest_neighbors,
 )
-from nn_oracle import two_nearest_brute
+from oracles import b_hat_raw, two_nearest_brute
 
 
 def rand_points(rng, n, style):
@@ -240,8 +239,8 @@ class TestTwoNearest:
         alt = TwoNearest(index=swapped, values=nn.values, second=nn.second)
         weights = np.random.default_rng(14).random(63) + 0.5
         for w in (None, weights):
-            a = select_cutoffs(po, nn, weights=w)
-            b = select_cutoffs(po, alt, weights=w)
+            a = select_cutoffs(po.points, nn, weights=w)
+            b = select_cutoffs(po.points, alt, weights=w)
             np.testing.assert_array_equal(a.scores, b.scores)
             assert a.best == b.best
 

@@ -3,8 +3,8 @@ import pytest
 from scipy import integrate, stats
 
 from hellcorr.errors import DomainError
-from hellcorr.ranks_nn import pseudo_observations
-from hellcorr.transform import beta66_cdf, beta66_pdf, beta66_quantile, transform_points
+from hellcorr.estimator import _rank_transform_tables
+from hellcorr.transform import beta66_pdf, beta66_quantile
 
 REF = stats.beta(6, 6)
 
@@ -23,14 +23,9 @@ def test_pdf_integrates_to_one():
     assert val == pytest.approx(1.0, abs=1e-10)
 
 
-def test_cdf_matches_reference():
-    t = np.linspace(0, 1, 201)
-    np.testing.assert_allclose(beta66_cdf(t), REF.cdf(t), rtol=1e-12, atol=1e-14)
-
-
 def test_quantile_roundtrip():
     p = np.linspace(0.001, 0.999, 97)
-    np.testing.assert_allclose(beta66_cdf(beta66_quantile(p)), p, atol=1e-10)
+    np.testing.assert_allclose(REF.cdf(beta66_quantile(p)), p, atol=1e-10)
 
 
 def test_quantile_rejects_boundary():
@@ -40,12 +35,12 @@ def test_quantile_rejects_boundary():
 
 
 def test_transform_weights_are_root_density_products():
-    rng = np.random.default_rng(3)
-    po = pseudo_observations(rng.normal(size=(50, 2)))
-    tp = transform_points(po.points)
-    np.testing.assert_allclose(tp.points, beta66_quantile(po.points), atol=1e-12)
-    expect = np.sqrt(beta66_pdf(tp.points[:, 0])) * np.sqrt(beta66_pdf(tp.points[:, 1]))
-    np.testing.assert_allclose(tp.weights, expect, rtol=1e-13)
+    # the estimator's tables: quantiles of the rank points i / (n + 1) and the
+    # square roots of the density there, whose products weight each point
+    for n in (3, 50, 501):
+        tq, sw = _rank_transform_tables(n)
+        np.testing.assert_allclose(tq, beta66_quantile(np.arange(1, n + 1) / (n + 1.0)), atol=1e-12)
+        np.testing.assert_array_equal(sw, np.sqrt(beta66_pdf(tq)))
 
 
 def test_transform_symmetric_about_half():
@@ -53,3 +48,8 @@ def test_transform_symmetric_about_half():
     u = np.linspace(0.05, 0.95, 19)
     q = beta66_quantile(u)
     np.testing.assert_allclose(q + beta66_quantile(1.0 - u), np.ones_like(q), atol=1e-9)
+    # so do the tables of the rank points, which lie symmetric about 1/2
+    for n in (4, 51, 500):
+        tq, sw = _rank_transform_tables(n)
+        np.testing.assert_allclose(tq + tq[::-1], np.ones(n), atol=1e-12)
+        np.testing.assert_allclose(sw, sw[::-1], rtol=1e-9)
