@@ -12,6 +12,7 @@ failure inside a numerical procedure.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -229,15 +230,15 @@ def _emit(doc, fmt, out):
     if fmt == "json":
         out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         return
+    # str() keeps None printing as None; the writer quotes fields with commas or quotes
+    writer = csv.writer(out, lineterminator="\n")
     rows = doc.get("rows")
     if rows is None:
-        for key in sorted(doc):
-            out.write(f"{key},{doc[key]}\n")
+        writer.writerows((key, str(doc[key])) for key in sorted(doc))
         return
     keys = sorted({k for r in rows for k in r})
-    out.write(",".join(keys) + "\n")
-    for r in rows:
-        out.write(",".join(str(r.get(k, "")) for k in keys) + "\n")
+    writer.writerow(keys)
+    writer.writerows([str(r.get(k, "")) for k in keys] for r in rows)
 
 
 def main(argv=None):

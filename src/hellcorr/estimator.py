@@ -53,6 +53,7 @@ class EstimateConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or not 0 <= v <= MAX_DEGREE:
                 raise ConfigError(f"{name} must be an integer in [0, {MAX_DEGREE}]")
+            object.__setattr__(self, name, int(v))
         if self.cutoffs is not None:
             k, l = self.cutoffs
             if not all(isinstance(v, (int, np.integer)) and 0 <= v <= MAX_DEGREE for v in (k, l)):

@@ -8,16 +8,18 @@ points (plain with-replacement pair resampling does, which zeroes
 nearest-neighbour distances and wrecks the estimate), and studentize with
 an inner bootstrap layer.
 
-Both procedures estimate many same-size samples, so they split their
-replicates into blocks and estimate each block with one ``estimate_batch``
-call, whether the cutoffs are fixed or cross-validated. A block holds
-about ``BATCH_POINTS`` observations; its size depends on the sample size
-(and the inner layer size b2) alone, never on the thread count. Every
-replicate still draws from its own RNG substream, and a batched estimate
-does not depend on the other samples of its batch, so the results do not
-depend on the blocks or on the thread count. ``threads`` maps the blocks
-over a thread pool; the nearest-neighbour scans release the interpreter
-lock, so threads pay at larger n and cost a little at very small n.
+Both procedures estimate many same-size samples through one private
+driver, ``_replicate_etas``: a ``draw`` callback writes each replicate (one
+null sample, or one outer resample with its inner layer) from its own RNG
+substreams, and the driver splits the replicates into blocks of about
+``BATCH_POINTS`` observations, sized from the sample size and the number of
+samples per replicate alone, never from the thread count. Each block is one
+``estimate_batch`` call, whether the cutoffs are fixed or cross-validated,
+and a batched estimate does not depend on the other samples of its batch,
+so the results do not depend on the blocks or on the thread count.
+``threads`` maps the blocks over a thread pool; the nearest-neighbour scans
+release the interpreter lock, so threads pay at larger n and cost a little
+at very small n.
 """
 
 import hashlib
@@ -55,7 +57,9 @@ class NullTable:
 
     @property
     def key(self):
-        return table_key(self.n, self.config)
+        """Cache key tying the table to its sample size, pipeline, and code."""
+        doc = {"n": int(self.n), "config": asdict(self.config), "code": __version__}
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -79,29 +83,26 @@ class SignificanceResult:
     table: NullTable = field(repr=False)
 
 
-def _config_echo(config):
-    d = asdict(config)
-    if d["cutoffs"] is not None:
-        d["cutoffs"] = list(d["cutoffs"])
-    return d
+def _replicate_etas(count, size, n, draw, cfg, threads):
+    """Etas of count replicates, each of size samples of n points: (count, size).
 
+    ``draw(i, out)`` writes replicate i into out, a (size, n, 2) array. Each
+    block of replicates is one batched estimate.
+    """
+    per_block = max(1, BATCH_POINTS // (n * size))
 
-def table_key(n, config):
-    """Cache key tying a table to its sample size, pipeline, and code."""
-    doc = {"n": int(n), "config": _config_echo(config), "code": __version__}
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+    def block(start):
+        stop = min(start + per_block, count)
+        samples = np.empty((stop - start, size, n, 2))
+        for k in range(stop - start):
+            draw(start + k, samples[k])
+        return estimate_batch(samples.reshape(-1, n, 2), cfg).reshape(-1, size)
 
-
-def _blocks(count, size):
-    """Consecutive index ranges of at most size that cover range(count)."""
-    return [range(a, min(a + size, count)) for a in range(0, count, size)]
-
-
-def _map_maybe_parallel(fn, items, threads):
-    if threads is not None and threads > 1 and len(items) > 1:
+    starts = range(0, count, per_block)
+    if threads is not None and threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(item) for item in items]
+            return np.concatenate(list(ex.map(block, starts)))
+    return np.concatenate([block(a) for a in starts])
 
 
 def null_table(n, m, config=None, seed=0, threads=1):
@@ -117,14 +118,10 @@ def null_table(n, m, config=None, seed=0, threads=1):
         raise ConfigError("need at least one replicate")
     cfg = config if config is not None else EstimateConfig()
 
-    def block(idx):
-        samples = np.empty((len(idx), n, 2))
-        for k, i in enumerate(idx):
-            substream(seed, "null", i).random(out=samples[k])
-        return estimate_batch(samples, cfg)
+    def draw(i, out):
+        substream(seed, "null", i).random(out=out[0])
 
-    parts = _map_maybe_parallel(block, _blocks(m, max(1, BATCH_POINTS // n)), threads)
-    draws = np.sort(np.concatenate(parts))
+    draws = np.sort(_replicate_etas(m, 1, n, draw, cfg, threads)[:, 0])
     draws.flags.writeable = False
     return NullTable(n=int(n), draws=draws, config=cfg, seed=int(seed))
 
@@ -193,28 +190,19 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
         for j in range(len(out)):
             out[j] = sample_beta_copula(rk, n, substream(seed, *path, j))
 
-    def scale(etas):
-        return float(np.std(etas, ddof=1))
-
     layer0 = np.empty((b2, n, 2))
     draw_layer(layer0, ranks0, "se0")
-    se0 = scale(estimate_batch(layer0, fixed))
+    se0 = float(np.std(estimate_batch(layer0, fixed), ddof=1))
     if se0 == 0.0:
         raise DiagnosticsError("inner resampling scale of the original sample is zero")
 
-    def block(bs):
-        # each outer resample, then its inner layer, all estimated in one batch
-        samples = np.empty((len(bs), 1 + b2, n, 2))
-        for k, b in enumerate(bs):
-            samples[k, 0] = sample_beta_copula(ranks0, n, substream(seed, "outer", b))
-        for k, (b, rk) in enumerate(zip(bs, column_ranks(samples[:, 0]))):
-            draw_layer(samples[k, 1:], rk, "inner", b)
-        etas = estimate_batch(samples.reshape(-1, n, 2), fixed).reshape(len(bs), 1 + b2)
-        return [(e[0], scale(e[1:])) for e in etas]
+    def draw(b, out):
+        out[0] = sample_beta_copula(ranks0, n, substream(seed, "outer", b))
+        draw_layer(out[1:], column_ranks(out[0]), "inner", b)
 
-    per_block = max(1, BATCH_POINTS // (n * (1 + b2)))
-    pairs = [p for part in _map_maybe_parallel(block, _blocks(b1, per_block), threads) for p in part]
-    pivots = [(eta_b - base.eta) / se_b for eta_b, se_b in pairs if se_b > 0.0]
+    etas = _replicate_etas(b1, 1 + b2, n, draw, fixed, threads)
+    se = np.std(etas[:, 1:], axis=1, ddof=1)
+    pivots = (etas[se > 0.0, 0] - base.eta) / se[se > 0.0]
     dropped = b1 - len(pivots)
     if dropped > 0:
         warnings.warn(f"dropped {dropped} of {b1} outer replicates with zero inner scale")
@@ -268,7 +256,7 @@ def save_null_table(table, path):
         "format_version": _FORMAT_VERSION,
         "n": table.n,
         "seed": table.seed,
-        "config": _config_echo(table.config),
+        "config": asdict(table.config),
         "key": table.key,
         "draws": [float(v) for v in table.draws],
     }
@@ -284,16 +272,6 @@ def save_null_table(table, path):
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _config_from_echo(echo):
-    cut = echo.get("cutoffs")
-    return EstimateConfig(
-        cutoffs=None if cut is None else (int(cut[0]), int(cut[1])),
-        kmax=int(echo["kmax"]),
-        lmax=int(echo["lmax"]),
-        transform=echo["transform"],
-    )
 
 
 def load_null_table(path, n=None, config=None):
@@ -317,19 +295,27 @@ def load_null_table(path, n=None, config=None):
     ):
         raise CacheMismatchError(f"{path} is not a recognized null-table artifact")
     try:
-        cfg = _config_from_echo(doc["config"])
         table = NullTable(
             n=int(doc["n"]),
             draws=np.asarray(doc["draws"]),
-            config=cfg,
+            config=EstimateConfig(**doc["config"]),
             seed=int(doc["seed"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CacheMismatchError(f"{path} is a malformed null-table artifact: {exc!r}") from None
+    d = table.draws
+    if (
+        d.ndim != 1
+        or d.size == 0
+        or d.dtype.kind != "f"
+        or not np.all((d >= 0.0) & (d <= 1.0))  # also refuses NaN
+        or np.any(d[1:] < d[:-1])
+    ):
+        raise CacheMismatchError(f"{path} does not hold a non-empty sorted list of draws in [0, 1]")
     if doc.get("key") != table.key:
         raise CacheMismatchError("cached table was built by a different code version")
     if n is not None and table.n != int(n):
         raise CacheMismatchError(f"cached table is for n={table.n}, need n={n}")
-    if config is not None and _config_echo(config) != _config_echo(cfg):
+    if config is not None and config != table.config:
         raise CacheMismatchError("cached table was built with a different configuration")
     return table

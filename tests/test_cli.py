@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -97,6 +98,24 @@ class TestEstimateCommand:
         keys = [line.split(",", 1)[0] for line in out.strip().splitlines()]
         assert keys == sorted(keys)
         assert "eta" in keys
+
+    @pytest.mark.parametrize("command", [("estimate",), ("pvalue", "--m", "100")])
+    def test_csv_rows_are_two_fields(self, capsys, tmp_path, command):
+        f = tmp_path / "a,b.csv"  # the source row carries a comma too
+        write_sample(f, n=40)
+        code, out, _ = run_cli(
+            capsys, *command, "--input", str(f), "--k", "1", "--l", "1", "--format", "csv"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        rows = list(csv.reader(lines))
+        assert all(len(r) == 2 for r in rows)
+        fields = dict(rows)
+        assert fields["cutoffs"] == "[1, 1]"
+        assert fields["source"] == str(f)
+        for line, (key, value) in zip(lines, rows):
+            if "," not in value and '"' not in value:  # only such fields are quoted
+                assert line == f"{key},{value}"
 
     @pytest.mark.filterwarnings("error")
     def test_huge_values_give_valid_json(self, capsys, tmp_path):
@@ -256,6 +275,30 @@ class TestPvalueCommand:
         else:
             doc = json.loads(text)
             cache.write_text(json.dumps({k: doc[k] for k in ("magic", "format_version")}))
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["string", "two_d", "descending", "nan", "above_one", "empty"])
+    def test_malformed_draws_map_to_2(self, capsys, tmp_path, kind):
+        cache = tmp_path / "null.json"
+        args = (
+            "pvalue", "--generator", "gaussian:rho=0.7", "--n", "80",
+            "--m", "100", "--seed", "4", "--null-cache", str(cache),
+        )
+        assert run_cli(capsys, *args)[0] == 0
+        doc = json.loads(cache.read_text())
+        draws = doc["draws"]
+        doc["draws"] = {
+            "string": "abc",
+            "two_d": [draws[:50], draws[50:]],
+            "descending": draws[::-1],
+            "nan": [float("nan")] * len(draws),
+            "above_one": [5.0] * len(draws),
+            "empty": [],
+        }[kind]
+        cache.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, *args)
         assert code == 2
         assert out == ""

@@ -270,6 +270,43 @@ class TestTableCache:
             with pytest.raises(CacheMismatchError):
                 load_null_table(q)
 
+    def test_keys_are_pinned(self):
+        # these change only when __version__ changes (here 1.0.0); a change of
+        # them otherwise orphans every cached table
+        assert null_table(12, 5).key == "c708196b2acedeee"
+        assert null_table(12, 5, EstimateConfig(cutoffs=(1, 1))).key == "0523d5f2aa7c3e5a"
+
+    def test_numpy_integer_config_roundtrip(self, tmp_path):
+        cfg = EstimateConfig(cutoffs=(np.int64(1), np.int64(1)), kmax=np.int64(3), lmax=np.int32(2))
+        t = null_table(12, 5, cfg, seed=31)
+        assert t.key == null_table(12, 5, EstimateConfig(cutoffs=(1, 1), kmax=3, lmax=2)).key
+        p = tmp_path / "table.json"
+        save_null_table(t, p)
+        back = load_null_table(p, n=12, config=cfg)
+        assert back.config == cfg
+        np.testing.assert_array_equal(back.draws, t.draws)
+
+    @pytest.mark.parametrize(
+        "kind", ["string", "two_d", "descending", "nan", "above_one", "empty", "strings"]
+    )
+    def test_malformed_draws_rejected(self, tmp_path, kind):
+        p = tmp_path / "table.json"
+        save_null_table(null_table(12, 20, seed=32), p)
+        doc = json.loads(p.read_text())
+        draws = doc["draws"]
+        doc["draws"] = {
+            "string": "0.5",
+            "two_d": [draws[:10], draws[10:]],
+            "descending": draws[::-1],
+            "nan": [float("nan")] * len(draws),
+            "above_one": [5.0] * len(draws),
+            "empty": [],
+            "strings": [str(v) for v in draws],
+        }[kind]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CacheMismatchError):
+            load_null_table(p)
+
     def test_failed_write_keeps_previous_table(self, tmp_path, monkeypatch):
         t = null_table(50, 20, seed=27)
         p = tmp_path / "table.json"
