@@ -1,11 +1,10 @@
 """Command-line front end: parses arguments, reads input, writes documents.
 
-Subcommands: estimate (point estimate from a file or generator), pvalue
-(Monte-Carlo significance with an optional cached null table), ci
-(double-bootstrap confidence interval), reproduce (runs one of the
-simulation-study suites that ``hellcorr.reproduce`` holds, at desk or full
-scale). Output is versioned JSON by default, CSV on request; runs are
-bit-reproducible given --seed.
+Each subcommand is one library call: estimate (``estimate``, from a file
+or generator), pvalue (``significance``, with --null-cache as its cached
+null table), ci (``bootstrap_ci``), reproduce (``reproduce.run``, one of
+the simulation-study suites at desk or full scale). Output is versioned
+JSON by default, CSV on request; runs are bit-reproducible given --seed.
 
 Exit codes: 0 success, 2 input or configuration error, 3 diagnostics
 failure inside a numerical procedure.
@@ -13,10 +12,10 @@ failure inside a numerical procedure.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -24,17 +23,11 @@ from . import reproduce
 from .errors import ConfigError, DiagnosticsError, HellcorrError, SizeError
 from .estimator import EstimateConfig, estimate, pearson
 from .generators import GeneratorSpec
-from .inference import (
-    critical_value,
-    load_null_table,
-    null_table,
-    p_value,
-    bootstrap_ci,
-    save_null_table,
-)
+from .inference import bootstrap_ci, significance
 from .version import __version__
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="hellcorr", description="Hellinger correlation estimation")
     p.add_argument("--version", action="version", version=__version__)
@@ -167,29 +160,20 @@ def cmd_estimate(args):
 
 def cmd_pvalue(args):
     arr, source = _get_sample(args)
-    res = estimate(arr, _get_config(args))
-    fixed = replace(res.config, cutoffs=res.cutoffs)
-    if args.null_cache:
-        # refuse a cache path that cannot be written before building the table
-        cache_dir = os.path.dirname(os.path.abspath(args.null_cache))
-        if not os.path.isdir(cache_dir):
-            raise ConfigError(f"--null-cache directory {cache_dir} does not exist")
-    cache_used = False
-    if args.null_cache and os.path.exists(args.null_cache):
-        table = load_null_table(args.null_cache, n=arr.shape[0], config=fixed)
-        cache_used = True
-    else:
-        if args.m < 100:
-            raise ConfigError("--m must be at least 100 when no cached table is given")
-        table = null_table(arr.shape[0], args.m, fixed, seed=args.seed, threads=args.threads)
-        if args.null_cache:
-            save_null_table(table, args.null_cache)
-    doc = _estimate_doc(args, arr, source, res)
+    config = _get_config(args)
+    cache = args.null_cache or None
+    cache_used = cache is not None and os.path.exists(cache)
+    if not cache_used and args.m < 100:
+        raise ConfigError("--m must be at least 100 when no cached table is given")
+    sig = significance(
+        arr, args.m, args.level, config, seed=args.seed, threads=args.threads, cache=cache
+    )
+    doc = _estimate_doc(args, arr, source, sig.estimate)
     doc.update(
         schema="hellcorr/pvalue@1",
-        m=table.m,
-        p=p_value(res.eta, table),
-        critical=critical_value(table, 1.0 - args.level),
+        m=sig.table.m,
+        p=sig.p,
+        critical=sig.critical,
         level=args.level,
         cache=args.null_cache,
         cache_used=cache_used,

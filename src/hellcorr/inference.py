@@ -6,7 +6,8 @@ give add-one Monte-Carlo p-values. Confidence intervals resample from the
 empirical beta copula, whose continuous margins cannot produce duplicated
 points (plain with-replacement pair resampling does, which zeroes
 nearest-neighbour distances and wrecks the estimate), and studentize with
-an inner bootstrap layer.
+an inner bootstrap layer. The CLI's ``pvalue`` and ``ci`` commands are one
+call each, to ``significance`` and ``bootstrap_ci``.
 
 Both procedures estimate many same-size samples through one private
 driver, ``_replicate_etas``: a ``draw`` callback writes each replicate (one
@@ -225,17 +226,32 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
     )
 
 
-def significance(sample, m=1000, level=0.95, config=None, seed=0, threads=1):
+def significance(sample, m=1000, level=0.95, config=None, seed=0, threads=1, cache=None):
     """Estimate, then test against a same-size independence null table.
 
     The null draws are estimated at the cutoffs selected on the observed
     data, conditioning the reference distribution on the chosen truncation.
+    ``cache`` names a null-table file: an existing one is loaded and must match
+    n and the fixed cutoffs, otherwise the table is built and saved there.
+    The CLI's ``pvalue`` is this one call, with ``cache`` from ``--null-cache``.
     """
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must lie in (0, 1)")
     arr = as_sample(sample)
     cfg = config if config is not None else EstimateConfig()
     base = estimate(arr, cfg)
     fixed = replace(cfg, cutoffs=base.cutoffs)
-    table = null_table(arr.shape[0], m, fixed, seed=seed, threads=threads)
+    if cache is not None and os.path.exists(cache):
+        table = load_null_table(cache, n=arr.shape[0], config=fixed)
+    else:
+        if cache is not None:
+            # refuse a cache path that cannot be written before building the table
+            cache_dir = os.path.dirname(os.path.abspath(cache))
+            if not os.path.isdir(cache_dir):
+                raise ConfigError(f"null-table cache directory {cache_dir} does not exist")
+        table = null_table(arr.shape[0], m, fixed, seed=seed, threads=threads)
+        if cache is not None:
+            save_null_table(table, cache)
     return SignificanceResult(
         estimate=base,
         p=p_value(base.eta, table),
@@ -301,7 +317,7 @@ def load_null_table(path, n=None, config=None):
             config=EstimateConfig(**doc["config"]),
             seed=int(doc["seed"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CacheMismatchError(f"{path} is a malformed null-table artifact: {exc!r}") from None
     d = table.draws
     if (

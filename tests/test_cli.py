@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,10 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hellcorr import cli, reproduce
+from hellcorr import cli, inference, reproduce
+from hellcorr.datasets import seabirds
 from hellcorr.errors import DiagnosticsError
 from hellcorr.estimator import estimate
 from hellcorr.generators import gen_gaussian
+from hellcorr.inference import significance
 
 
 def run_cli(capsys, *argv):
@@ -261,7 +265,9 @@ class TestPvalueCommand:
         assert run_cli(capsys, *base, "--n", "80")[0] == 0
         assert run_cli(capsys, *base, "--n", "81")[0] == 2
 
-    @pytest.mark.parametrize("kind", ["truncated", "header_only"])
+    @pytest.mark.parametrize(
+        "kind", ["truncated", "header_only", "n_inf", "n_minus_inf", "seed_inf"]
+    )
     def test_corrupt_cache_maps_to_2(self, capsys, tmp_path, kind):
         cache = tmp_path / "null.json"
         args = (
@@ -272,9 +278,16 @@ class TestPvalueCommand:
         text = cache.read_text()
         if kind == "truncated":
             cache.write_text(text[: len(text) // 2])
-        else:
+        elif kind == "header_only":
             doc = json.loads(text)
             cache.write_text(json.dumps({k: doc[k] for k in ("magic", "format_version")}))
+        else:  # JSON reads 1e999 as inf, which int() refuses with OverflowError
+            field, value = {
+                "n_inf": ("n", "1e999"),
+                "n_minus_inf": ("n", "-1e999"),
+                "seed_inf": ("seed", "1e999"),
+            }[kind]
+            cache.write_text(re.sub(rf'"{field}": \d+', f'"{field}": {value}', text, count=1))
         code, out, err = run_cli(capsys, *args)
         assert code == 2
         assert out == ""
@@ -317,7 +330,7 @@ class TestPvalueCommand:
         def must_not_build(*args, **kwargs):
             raise AssertionError("null table built for an unwritable cache path")
 
-        monkeypatch.setattr(cli, "null_table", must_not_build)
+        monkeypatch.setattr(inference, "null_table", must_not_build)
         code, out, err = run_cli(
             capsys, "pvalue", "--generator", "circle", "--n", "30", "--m", "100",
             "--null-cache", str(tmp_path / "nodir" / "c.json"),
@@ -325,6 +338,34 @@ class TestPvalueCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_bad_level_builds_no_table(self, capsys, tmp_path):
+        cache = tmp_path / "lvl.json"
+        code, out, err = run_cli(
+            capsys, "pvalue", "--generator", "circle", "--n", "30", "--m", "100",
+            "--level", "1.5", "--null-cache", str(cache),
+        )
+        assert code == 2
+        assert out == ""
+        assert "level must lie in (0, 1)" in err
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_matches_significance(self, capsys, tmp_path, cached):
+        arr = seabirds()
+        f = tmp_path / "seabirds.csv"
+        f.write_text("seabirds,fish\n" + "".join(f"{a!r},{b!r}\n" for a, b in arr.tolist()))
+        sig = significance(arr, m=200, level=0.9, seed=3)
+        want = [sig.estimate.eta, list(sig.estimate.cutoffs), sig.p, sig.critical, sig.table.m]
+        argv = ["pvalue", "--input", str(f), "--m", "200", "--level", "0.9", "--seed", "3"]
+        if cached:
+            argv += ["--null-cache", str(tmp_path / "null.json")]
+        for warm in [False, True] if cached else [False]:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["cache_used"] is warm
+            assert [doc[k] for k in ("eta", "cutoffs", "p", "critical", "m")] == want
 
     def test_fields(self, capsys):
         code, out, _ = run_cli(
@@ -420,3 +461,27 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "1.0.0"
+
+
+class TestRepeatedCalls:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--generator", "circle", "--n", "30"],
+            ["pvalue", "--generator", "circle", "--n", "30", "--m", "100"],
+            ["ci", "--generator", "circle", "--n", "30", "--b1", "10", "--b2", "5"],
+        ],
+        ids=["estimate", "pvalue", "ci"],
+    )
+    def test_repeated_calls_leave_no_cyclic_garbage(self, capsys, argv):
+        # one argparse parser is about 350 objects in reference cycles
+        for _ in range(2):
+            assert run_cli(capsys, *argv)[0] == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_cli(capsys, *argv)[0] == 0
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert garbage < 30

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from hellcorr import inference
 from hellcorr.errors import (
     CacheMismatchError,
     ConfigError,
@@ -199,6 +201,15 @@ class TestSignificance:
         res = significance(gen_gaussian(150, 0.4, seed=17), m=99, seed=18)
         assert res.p == p_value(res.estimate.eta, res.table)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+    def test_bad_level_refused_before_any_table(self, monkeypatch, level):
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("null table built for an invalid level")
+
+        monkeypatch.setattr(inference, "null_table", must_not_build)
+        with pytest.raises(DomainError, match="level"):
+            significance(gen_gaussian(50, 0.4, seed=19), m=100, level=level)
+
 
 class TestBootstrapCI:
     def test_interval_properties_and_nesting(self):
@@ -305,6 +316,15 @@ class TestTableCache:
         }[kind]
         p.write_text(json.dumps(doc))
         with pytest.raises(CacheMismatchError):
+            load_null_table(p)
+
+    @pytest.mark.parametrize("field, value", [("n", "1e999"), ("n", "-1e999"), ("seed", "1e999")])
+    def test_overflowing_integer_fields_rejected(self, tmp_path, field, value):
+        # JSON reads 1e999 as inf, which int() refuses with OverflowError
+        p = tmp_path / "table.json"
+        save_null_table(null_table(12, 20, seed=33), p)
+        p.write_text(re.sub(rf'"{field}": \d+', f'"{field}": {value}', p.read_text(), count=1))
+        with pytest.raises(CacheMismatchError, match="malformed"):
             load_null_table(p)
 
     def test_failed_write_keeps_previous_table(self, tmp_path, monkeypatch):
