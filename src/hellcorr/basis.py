@@ -11,8 +11,8 @@ import numpy as np
 from .errors import CapabilityError, DomainError
 
 MAX_DEGREE = 20
-# observations one batched step holds: the rows of one step of tensor_sums and
-# the block size of the resampling procedures; temporaries stay near 1 MB
+# observations one batched step holds: the block size of estimate_batch and of the
+# resampling procedures, and the rows of a tensor_sums step; temporaries stay near 1 MB
 BATCH_POINTS = 1 << 12
 
 
@@ -49,22 +49,20 @@ def design_matrix(u, max_degree):
 def tensor_sums(weights, P, Q):
     """Table sum_i weights[i] P[i, k] Q[i, l] of shape (..., K+1, L+1).
 
-    weights is (..., n), P (..., n, K+1) and Q (..., n, L+1). Each entry adds
-    its terms in an order fixed by n alone, so it does not depend on the other
-    samples of a batch, the table's size or its place in the table.
+    weights is (..., n), P (..., n, K+1) and Q (..., n, L+1). A step takes up to
+    BATCH_POINTS rows of every sample; ``estimate_batch``'s blocks bound the batch.
+    Each entry adds its terms in an order fixed by n alone, so it does not depend
+    on the other samples of a batch, the table's size or its place in the table.
     """
     *batch, n, kp = P.shape
     lp = Q.shape[-1]
     w, P, Q = weights.reshape(-1, n), P.reshape(-1, n, kp), Q.reshape(-1, n, lp)
-    rows = min(n, BATCH_POINTS)
-    reps = BATCH_POINTS // rows
     out = np.zeros((len(w), kp * lp))
-    for a in range(0, len(w), reps):
-        for i in range(0, n, rows):
-            # factor values degree first, so that each entry sums a contiguous row
-            p = np.ascontiguousarray(P[a : a + reps, i : i + rows].transpose(0, 2, 1))
-            q = np.ascontiguousarray(Q[a : a + reps, i : i + rows].transpose(0, 2, 1))
-            prod = (p[:, :, None, :] * q[:, None, :, :]).reshape(len(p), kp * lp, -1)
-            out[a : a + reps] += np.einsum("mi,mci->mc", w[a : a + reps, i : i + rows], prod)
+    for i in range(0, n, BATCH_POINTS):
+        # factor values degree first, so that each entry sums a contiguous row
+        p = np.ascontiguousarray(P[:, i : i + BATCH_POINTS].transpose(0, 2, 1))
+        q = np.ascontiguousarray(Q[:, i : i + BATCH_POINTS].transpose(0, 2, 1))
+        prod = (p[:, :, None, :] * q[:, None, :, :]).reshape(len(p), kp * lp, -1)
+        out += np.einsum("mi,mci->mc", w[:, i : i + BATCH_POINTS], prod)
     return out.reshape((*batch, kp, lp))
 

@@ -60,13 +60,15 @@ def _cell_tables(points, nn, kmax, lmax, weights):
 
 def _corner_sums(tables):
     """Exactly rounded sum of each top-left block [:K+1, :L+1] of (..., K, L) tables."""
-    kp, lp = tables.shape[-2:]
-    flat = tables.reshape(-1, kp, lp).tolist()
-    sums = [
-        [math.fsum(v for r in t[: K + 1] for v in r[: L + 1]) for t in flat]
-        for K, L in np.ndindex(kp, lp)
-    ]
-    return np.array(sums).T.reshape(tables.shape)
+    sums = []
+    for t in tables.reshape(-1, *tables.shape[-2:]).tolist():
+        cols = [[] for _ in t[0]]
+        for row in t:
+            for L, col in enumerate(cols):
+                col.extend(row[: L + 1])
+                # fsum rounds the exact sum, so the order the entries came in does not matter
+                sums.append(math.fsum(col))
+    return np.array(sums).reshape(tables.shape)
 
 
 def admissible(K, L, kmax, lmax):

@@ -90,6 +90,8 @@ def _replicate_etas(count, size, n, draw, cfg, threads):
     ``draw(i, out)`` writes replicate i into out, a (size, n, 2) array. Each
     block of replicates is one batched estimate.
     """
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
     per_block = max(1, BATCH_POINTS // (n * size))
 
     def block(start):
@@ -100,7 +102,7 @@ def _replicate_etas(count, size, n, draw, cfg, threads):
         return estimate_batch(samples.reshape(-1, n, 2), cfg).reshape(-1, size)
 
     starts = range(0, count, per_block)
-    if threads is not None and threads > 1 and len(starts) > 1:
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             return np.concatenate(list(ex.map(block, starts)))
     return np.concatenate([block(a) for a in starts])
@@ -133,14 +135,19 @@ def p_value(eta_hat, table):
     return (1 + count) / (table.m + 1)
 
 
+def _order_statistic(m, alpha):
+    """Rank ceil((1-alpha)(m+1)) of the upper-alpha critical value among m draws."""
+    k = math.ceil((1.0 - alpha) * (m + 1))
+    if k > m:
+        raise DomainError(f"table of {m} draws too small for alpha={alpha}")
+    return k
+
+
 def critical_value(table, alpha=0.05):
     """Upper-alpha critical value: order statistic ceil((1-alpha)(m+1))."""
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
-    k = math.ceil((1.0 - alpha) * (table.m + 1))
-    if k > table.m:
-        raise DomainError(f"table of {table.m} draws too small for alpha={alpha}")
-    return float(table.draws[k - 1])
+    return float(table.draws[_order_statistic(table.m, alpha) - 1])
 
 
 def sample_beta_copula(ranks, n_out, seed):
@@ -191,9 +198,8 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
         for j in range(len(out)):
             out[j] = sample_beta_copula(rk, n, substream(seed, *path, j))
 
-    layer0 = np.empty((b2, n, 2))
-    draw_layer(layer0, ranks0, "se0")
-    se0 = float(np.std(estimate_batch(layer0, fixed), ddof=1))
+    layer0 = _replicate_etas(1, b2, n, lambda _, out: draw_layer(out, ranks0, "se0"), fixed, threads)
+    se0 = float(np.std(layer0[0], ddof=1))
     if se0 == 0.0:
         raise DiagnosticsError("inner resampling scale of the original sample is zero")
 
@@ -232,17 +238,22 @@ def significance(sample, m=1000, level=0.95, config=None, seed=0, threads=1, cac
     The null draws are estimated at the cutoffs selected on the observed
     data, conditioning the reference distribution on the chosen truncation.
     ``cache`` names a null-table file: an existing one is loaded and must match
-    n and the fixed cutoffs, otherwise the table is built and saved there.
-    The CLI's ``pvalue`` is this one call, with ``cache`` from ``--null-cache``.
+    n, the fixed cutoffs, m and seed, otherwise the table is built and saved
+    there. The CLI's ``pvalue`` is this one call, with ``cache`` from
+    ``--null-cache``. Both the level and the table size are checked first.
     """
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
+    _order_statistic(m, 1.0 - level)
     arr = as_sample(sample)
     cfg = config if config is not None else EstimateConfig()
     base = estimate(arr, cfg)
     fixed = replace(cfg, cutoffs=base.cutoffs)
     if cache is not None and os.path.exists(cache):
         table = load_null_table(cache, n=arr.shape[0], config=fixed)
+        if (table.m, table.seed) != (m, seed):
+            msg = f"cached table has m={table.m}, seed={table.seed}; need m={m}, seed={seed}"
+            raise CacheMismatchError(msg)
     else:
         if cache is not None:
             # refuse a cache path that cannot be written before building the table

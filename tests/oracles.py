@@ -52,3 +52,15 @@ def b_hat_raw(nn_values, weights=None):
     if weights is None:
         return cn * float(np.sum(v))
     return cn * float(np.dot(v, np.asarray(weights, dtype=float)))
+
+
+def corner_sums(tables):
+    """Exactly rounded sum of each top-left block [:K+1, :L+1] of (..., K, L)
+    tables, one fsum over the whole block for every corner."""
+    kp, lp = tables.shape[-2:]
+    flat = tables.reshape(-1, kp, lp).tolist()
+    sums = [
+        [math.fsum(v for r in t[: K + 1] for v in r[: L + 1]) for t in flat]
+        for K, L in np.ndindex(kp, lp)
+    ]
+    return np.array(sums).T.reshape(tables.shape)

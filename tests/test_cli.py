@@ -367,6 +367,41 @@ class TestPvalueCommand:
             assert doc["cache_used"] is warm
             assert [doc[k] for k in ("eta", "cutoffs", "p", "critical", "m")] == want
 
+    def test_small_table_for_level_writes_no_file(self, capsys, tmp_path):
+        cache = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys, "pvalue", "--generator", "circle", "--n", "30", "--m", "100",
+            "--level", "0.995", "--null-cache", str(cache),
+        )
+        assert code == 2
+        assert out == ""
+        assert "table of 100 draws too small" in err and "Traceback" not in err
+        assert not cache.exists()
+
+    def test_cache_must_match_m_and_seed(self, capsys, tmp_path):
+        f = tmp_path / "seabirds.csv"
+        f.write_text("seabirds,fish\n" + "".join(f"{a!r},{b!r}\n" for a, b in seabirds().tolist()))
+        cache = tmp_path / "null.json"
+
+        def pvalue(m, seed):
+            return run_cli(
+                capsys, "pvalue", "--input", str(f), "--m", str(m), "--seed", str(seed),
+                "--null-cache", str(cache),
+            )
+
+        code, cold, _ = pvalue(100, 1)
+        assert code == 0
+        for m, seed in ((300, 1), (100, 2)):
+            code, out, err = pvalue(m, seed)
+            assert code == 2
+            assert out == ""
+            assert f"m=100, seed=1; need m={m}, seed={seed}" in err
+        code, warm, _ = pvalue(100, 1)
+        assert code == 0
+        cold, warm = json.loads(cold), json.loads(warm)
+        assert warm.pop("cache_used") is True and cold.pop("cache_used") is False
+        assert warm == cold
+
     def test_fields(self, capsys):
         code, out, _ = run_cli(
             capsys, "pvalue", "--generator", "gaussian:rho=0.8", "--n", "100",
@@ -403,6 +438,16 @@ class TestCiCommand:
         assert {k: ci_doc[k] for k in est_doc if k != "schema"} == {
             k: v for k, v in est_doc.items() if k != "schema"
         }
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, capsys, threads):
+        code, out, err = run_cli(
+            capsys, "ci", "--generator", "gaussian:rho=0.6", "--n", "60",
+            "--b1", "20", "--b2", "5", "--threads", threads,
+        )
+        assert code == 2
+        assert out == ""
+        assert "threads must be an integer of at least 1" in err and "Traceback" not in err
 
 
 class TestReproduceCommand:

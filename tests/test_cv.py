@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hellcorr.basis import design_matrix
-from hellcorr.cv import admissible, select_cutoffs
+from hellcorr.cv import _corner_sums, admissible, select_cutoffs
 from hellcorr.errors import ConfigError, SizeError
 from hellcorr.estimator import beta_hat_table
 from hellcorr.generators import gen_gaussian
 from hellcorr.ranks_nn import column_ranks, pseudo_observations, two_nearest_neighbors
-from oracles import transform_points, two_nearest_brute
+from oracles import corner_sums, transform_points, two_nearest_brute
 
 
 def loo_nn_distances(points, excluded):
@@ -169,3 +170,38 @@ def test_batched_selection_and_table_corners():
                 assert one.best == res.best[i]
                 np.testing.assert_array_equal(one.scores, res.scores[i])
                 np.testing.assert_array_equal(one.beta, res.beta[i])
+
+
+# entries with magnitudes spread over e^-40..e^40, signed zeros, and subnormals
+_ENTRY = st.one_of(
+    st.builds(lambda s, e: s * math.exp(e), st.floats(-1.0, 1.0), st.floats(-40.0, 40.0)),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-(2.0**-1022), 2.0**-1022),
+)
+
+
+@st.composite
+def _cv_tables(draw):
+    """(..., K+1, L+1) tables, up to 6 x 6 with up to two batch axes; some
+    entries cancel another exactly or to the last bit, some tables are all -0.0."""
+    batch = draw(st.lists(st.integers(1, 3), max_size=2))
+    shape = (*batch, draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    size = math.prod(shape)
+    if draw(st.integers(0, 9)) == 0:
+        return np.full(shape, -0.0)
+    flat = draw(st.lists(_ENTRY, min_size=size, max_size=size))
+    index = st.integers(0, size - 1)
+    pairs = st.tuples(index, index, st.sampled_from([0.0, math.inf, -math.inf]))
+    for dst, src, toward in draw(st.lists(pairs, max_size=size)):
+        flat[dst] = -flat[src] if toward == 0.0 else math.nextafter(-flat[src], toward)
+    return np.array(flat).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cv_tables())
+@example(np.full((2, 3, 6, 6), -0.0))
+@example(np.array([[1e16, 1.0, -1e16], [1.0, -1.0, 5e-324]]))
+def test_corner_sums_bit_equal_to_per_corner_oracle(tables):
+    got, want = _corner_sums(tables), corner_sums(tables)
+    assert got.shape == want.shape == tables.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -177,6 +177,11 @@ class TestNullTable:
         with pytest.raises(ConfigError):
             null_table(50, 0)
 
+    @pytest.mark.parametrize("threads", [0, -3, None, 1.5])
+    def test_threads_below_one_or_not_integer_refused(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            null_table(12, 10, threads=threads)
+
     def test_level_holds_on_independent_data(self, nt500):
         crit = critical_value(nt500, 0.05)
         hits = 0
@@ -209,6 +214,17 @@ class TestSignificance:
         monkeypatch.setattr(inference, "null_table", must_not_build)
         with pytest.raises(DomainError, match="level"):
             significance(gen_gaussian(50, 0.4, seed=19), m=100, level=level)
+
+    def test_small_table_refused_before_any_table(self, monkeypatch, tmp_path):
+        # ceil(0.995 * 101) = 101 > 100: no order statistic gives the critical value
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("null table built for a level it cannot serve")
+
+        monkeypatch.setattr(inference, "null_table", must_not_build)
+        cache = tmp_path / "x.json"
+        with pytest.raises(DomainError, match="table of 100 draws too small"):
+            significance(gen_gaussian(50, 0.4, seed=19), m=100, level=0.995, cache=str(cache))
+        assert not cache.exists()
 
 
 class TestBootstrapCI:
