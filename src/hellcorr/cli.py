@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import reproduce
-from .errors import ConfigError, DiagnosticsError, HellcorrError, SizeError
+from .errors import CapabilityError, ConfigError, DiagnosticsError, HellcorrError, SizeError
 from .estimator import EstimateConfig, estimate, pearson
 from .generators import GeneratorSpec
 from .inference import bootstrap_ci, significance
@@ -118,7 +118,13 @@ def _get_sample(args):
         spec, source = GeneratorSpec.parse(args.generator), args.generator
         if args.n < 3:  # numpy refuses a negative size with a bare ValueError
             raise SizeError(f"need at least 3 observations, got --n {args.n}")
-        arr = spec.generate(args.n, args.seed)
+        try:
+            arr = spec.generate(args.n, args.seed)
+        except (MemoryError, ValueError) as exc:
+            if isinstance(exc, HellcorrError):  # the family's own domain or parameter check
+                raise
+            # numpy refuses a size past the address space or the free memory
+            raise CapabilityError(f"cannot draw --n {args.n} points: {exc}") from None
     if arr.shape[0] < 3:
         raise SizeError(f"need at least 3 observations, got {arr.shape[0]}")
     return arr, source
@@ -234,6 +240,8 @@ def main(argv=None):
         "reproduce": cmd_reproduce,
     }
     try:
+        if args.threads < 1:  # refused before any sample, table or suite is drawn
+            raise ConfigError(f"--threads must be an integer of at least 1, got {args.threads}")
         doc = handlers[args.command](args)
     except DiagnosticsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -247,6 +247,13 @@ def gen_cross(n, d, seed):
     return np.column_stack((x, y))
 
 
+def _check_block(a, m):
+    if not 0.0 < a < 1.0:
+        raise DomainError("a must lie strictly inside (0, 1)")
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise DomainError("m must be a positive integer")
+
+
 def gen_block_copula(n, a, m, seed):
     """Sample the block copula with lower uniform square and m diagonal blocks.
 
@@ -255,30 +262,35 @@ def gen_block_copula(n, a, m, seed):
     uniformly and the point is uniform inside it. Margins are uniform for
     every (a, m).
     """
-    if not 0.0 < a < 1.0:
-        raise DomainError("a must lie strictly inside (0, 1)")
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise DomainError("m must be a positive integer")
+    _check_block(a, m)
     rng = _rng_for(seed, "block")
     in_block = rng.random(n) < a
     nu = rng.integers(0, m, n)
     uv = rng.random((n, 2))
     side = a / m
     lo = 1.0 - a + nu * side
-    out = np.where(in_block[:, None], lo[:, None] + side * uv, (1.0 - a) * uv)
-    return out
+    return np.where(in_block[:, None], lo[:, None] + side * uv, (1.0 - a) * uv)
 
 
 def block_copula_mi(a, m):
     """Mutual information of the block copula, in nats."""
-    if not 0.0 < a < 1.0:
-        raise DomainError("a must lie strictly inside (0, 1)")
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise DomainError("m must be a positive integer")
+    _check_block(a, m)
     return -(1.0 - a) * math.log(1.0 - a) - a * math.log(a) + a * math.log(m)
 
 
-_KINDS = ("gaussian", "scenario", "peano", "cross", "block")
+def _depth(text):
+    return math.inf if text.lower() in ("inf", "infinity") else int(text)
+
+
+# kind -> (gen_* function, {parameter: (parser, default)}); default None: required
+_FAMILIES = {
+    "gaussian": (gen_gaussian, {"rho": (float, None)}),
+    "scenario": (gen_scenario, {"name": (canonical_scenario, None)}),
+    "peano": (gen_peano, {"d": (_depth, None)}),
+    "cross": (gen_cross, {"d": (_depth, None)}),
+    "block": (gen_block_copula, {"a": (float, None), "m": (int, 1)}),
+}
+_ALIASES = {"block_copula": "block"}
 
 
 @dataclass(frozen=True)
@@ -296,48 +308,34 @@ class GeneratorSpec:
         "block:a=0.5,m=4", "scenario:name=Circle", "circle".
         """
         head, _, tail = str(text).partition(":")
-        kind = head.strip().lower()
-        if kind == "block_copula":
-            kind = "block"
-        params = {}
-        if tail.strip():
-            for item in tail.split(","):
-                key, eq, val = item.partition("=")
-                if not eq:
-                    raise ConfigError(f"malformed generator parameter {item!r}")
-                params[key.strip().lower()] = val.strip()
-        if kind not in _KINDS:
+        kind = _ALIASES.get(head.strip().lower(), head.strip().lower())
+        if kind not in _FAMILIES:
             return cls(kind="scenario", params={"name": canonical_scenario(text)})
+        takes = _FAMILIES[kind][1]
+        params = {}
+        for item in tail.split(",") if tail.strip() else ():
+            key, eq, val = item.partition("=")
+            key = key.strip().lower()
+            if not eq or key not in takes.keys() - params.keys():
+                what = ", ".join(takes)
+                raise ConfigError(f"bad {kind} parameter {item!r}: {kind} takes {what}, each once")
+            params[key] = val.strip()
         if kind == "scenario":
             params["name"] = canonical_scenario(params.get("name", ""))
         return cls(kind=kind, params=params)
 
-    def _num(self, key, conv, required=True):
-        if key not in self.params:
-            if required:
-                raise ConfigError(f"generator {self.kind} needs parameter {key!r}")
-            return None
-        val = self.params[key]
-        if isinstance(val, str):
-            try:
-                return math.inf if val.lower() in ("inf", "infinity") else conv(val)
-            except ValueError:
-                raise ConfigError(f"bad value {val!r} for parameter {key!r}") from None
-        return val
-
     def generate(self, n, seed):
         """Draw n points from the described generator."""
-        if self.kind == "gaussian":
-            return gen_gaussian(n, self._num("rho", float), seed)
-        if self.kind == "scenario":
-            return gen_scenario(self.params["name"], n, seed)
-        if self.kind == "peano":
-            d = self._num("d", int)
-            return gen_peano(n, d, seed)
-        if self.kind == "cross":
-            d = self._num("d", int)
-            return gen_cross(n, d, seed)
-        if self.kind == "block":
-            m = self._num("m", int, required=False)
-            return gen_block_copula(n, self._num("a", float), 1 if m is None else m, seed)
-        raise ConfigError(f"unknown generator kind {self.kind!r}")
+        if self.kind not in _FAMILIES:
+            raise ConfigError(f"unknown generator kind {self.kind!r}")
+        fn, takes = _FAMILIES[self.kind]
+        args = {}
+        for key, (conv, default) in takes.items():
+            if key not in self.params and default is None:
+                raise ConfigError(f"generator {self.kind} needs parameter {key!r}")
+            val = self.params.get(key, default)
+            try:
+                args[key] = conv(val) if isinstance(val, str) else val
+            except ValueError:
+                raise ConfigError(f"bad value {val!r} for parameter {key!r}") from None
+        return fn(n=n, seed=seed, **args)

@@ -176,6 +176,18 @@ class TestBadInputs:
         assert code == 2
         assert "Traceback" not in err and "at least 3 observations" in err
 
+    def test_parameter_the_family_does_not_take(self, capsys):
+        code, out, err = run_cli(capsys, "estimate", "--generator", "block:a=0.5,nm=4", "--n", "30")
+        assert code == 2 and out == ""
+        assert "error:" in err and "block takes a, m" in err and "Traceback" not in err
+
+    # 10**18 points lie past the address space, so numpy refuses them before allocating
+    @pytest.mark.parametrize("spec", ["gaussian:rho=0.5", "peano:d=3", "circle"])
+    def test_generator_size_too_large_to_allocate(self, capsys, spec):
+        code, out, err = run_cli(capsys, "estimate", "--generator", spec, "--n", str(10**18))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot draw") and "Traceback" not in err
+
     def test_constant_column(self, capsys, tmp_path):
         f = tmp_path / "flat.csv"
         f.write_text("".join(f"1.5,{v}\n" for v in gen_gaussian(30, 0.0, seed=2)[:, 1]))
@@ -499,6 +511,24 @@ class TestExitCodes:
         )
         assert code == 3
         assert "resampling scale collapsed" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--generator", "circle", "--n", "30"],
+            ["pvalue", "--generator", "circle", "--n", "30", "--m", "100"],
+            ["ci", "--generator", "circle", "--n", "30", "--b1", "10", "--b2", "5"],
+            ["reproduce", "table1"],
+        ],
+        ids=["estimate", "pvalue", "ci", "reproduce"],
+    )
+    def test_threads_below_one_refused_before_any_work(self, capsys, monkeypatch, argv):
+        ran = []
+        for name in ("cmd_estimate", "cmd_pvalue", "cmd_ci", "cmd_reproduce"):
+            monkeypatch.setattr(cli, name, ran.append)
+        code, out, err = run_cli(capsys, *argv, "--threads", "0")
+        assert code == 2 and out == "" and ran == []
+        assert err.startswith("error:") and "--threads" in err and "Traceback" not in err
 
     def test_version_flag(self):
         proc = subprocess.run(

@@ -161,6 +161,20 @@ class TestBlockCopula:
             block_copula_mi(1.2, 2)
 
 
+# spec text -> the direct gen_* call it must reproduce bit for bit, one or more per family
+_DISPATCH = [
+    ("gaussian:rho=0.4", lambda n, seed: gen_gaussian(n, 0.4, seed)),
+    ("scenario:name=Doppler", lambda n, seed: gen_scenario("Doppler", n, seed)),
+    ("4clouds", lambda n, seed: gen_scenario("4 clouds", n, seed)),
+    ("peano:d=inf", lambda n, seed: gen_peano(n, math.inf, seed)),
+    ("peano:d=3", lambda n, seed: gen_peano(n, 3, seed)),
+    ("cross:d=2", lambda n, seed: gen_cross(n, 2, seed)),
+    ("cross:d=inf", lambda n, seed: gen_cross(n, math.inf, seed)),
+    ("block:a=0.5", lambda n, seed: gen_block_copula(n, 0.5, 1, seed)),
+    ("block:a=0.3,m=4", lambda n, seed: gen_block_copula(n, 0.3, 4, seed)),
+]
+
+
 class TestGeneratorSpec:
     def test_parse_forms(self):
         assert GeneratorSpec.parse("gaussian:rho=0.5").kind == "gaussian"
@@ -169,19 +183,9 @@ class TestGeneratorSpec:
         assert GeneratorSpec.parse("circle").params["name"] == "Circle"
         assert GeneratorSpec.parse("scenario:name=Doppler").params["name"] == "Doppler"
 
-    def test_generate_dispatch(self):
-        np.testing.assert_array_equal(
-            GeneratorSpec.parse("gaussian:rho=0.4").generate(30, 13), gen_gaussian(30, 0.4, 13)
-        )
-        np.testing.assert_array_equal(
-            GeneratorSpec.parse("cross:d=2").generate(30, 13), gen_cross(30, 2, 13)
-        )
-        np.testing.assert_array_equal(
-            GeneratorSpec.parse("peano:d=inf").generate(30, 13), gen_peano(30, math.inf, 13)
-        )
-        np.testing.assert_array_equal(
-            GeneratorSpec.parse("block:a=0.5").generate(30, 13), gen_block_copula(30, 0.5, 1, 13)
-        )
+    @pytest.mark.parametrize("text, direct", _DISPATCH, ids=[text for text, _ in _DISPATCH])
+    def test_generate_dispatch(self, text, direct):
+        np.testing.assert_array_equal(GeneratorSpec.parse(text).generate(30, 13), direct(30, 13))
 
     def test_parse_errors(self):
         with pytest.raises(ConfigError):
@@ -192,3 +196,11 @@ class TestGeneratorSpec:
             GeneratorSpec.parse("gaussian:rho=abc").generate(10, 0)
         with pytest.raises(ConfigError):
             GeneratorSpec.parse("peano:").generate(10, 0)
+        # unknown key, repeated key, trailing comma: the message names what the family takes
+        with pytest.raises(ConfigError, match="block takes a, m"):
+            GeneratorSpec.parse("block:a=0.5,nm=4")
+        with pytest.raises(ConfigError, match="gaussian takes rho"):
+            GeneratorSpec.parse("gaussian:rho=0.5,rho=0.9")
+        with pytest.raises(ConfigError, match="gaussian takes rho"):
+            GeneratorSpec.parse("gaussian:rho=0.5,")
+
