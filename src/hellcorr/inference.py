@@ -33,7 +33,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import CacheMismatchError, ConfigError, DiagnosticsError, DomainError, SizeError
+from .errors import (
+    CacheMismatchError,
+    CapabilityError,
+    ConfigError,
+    DiagnosticsError,
+    DomainError,
+    SizeError,
+)
 from .estimator import BATCH_POINTS, EstimateConfig, EstimateResult, estimate, estimate_batch
 from .ranks_nn import as_sample, column_ranks
 from .rng import substream
@@ -88,10 +95,14 @@ def _replicate_etas(count, size, n, draw, cfg, threads):
     """Etas of count replicates, each of size samples of n points: (count, size).
 
     ``draw(i, out)`` writes replicate i into out, a (size, n, 2) array. Each
-    block of replicates is one batched estimate.
+    block of replicates is one batched estimate, written into the result in place.
     """
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
+    try:
+        etas = np.empty((count, size))
+    except (MemoryError, ValueError) as exc:  # refused before any draw, not part way
+        raise CapabilityError(f"cannot hold {count} x {size} estimates: {exc}") from None
     per_block = max(1, BATCH_POINTS // (n * size))
 
     def block(start):
@@ -99,13 +110,16 @@ def _replicate_etas(count, size, n, draw, cfg, threads):
         samples = np.empty((stop - start, size, n, 2))
         for k in range(stop - start):
             draw(start + k, samples[k])
-        return estimate_batch(samples.reshape(-1, n, 2), cfg).reshape(-1, size)
+        etas[start:stop] = estimate_batch(samples.reshape(-1, n, 2), cfg).reshape(-1, size)
 
     starts = range(0, count, per_block)
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            return np.concatenate(list(ex.map(block, starts)))
-    return np.concatenate([block(a) for a in starts])
+            list(ex.map(block, starts))  # reading every result re-raises a block's error
+    else:
+        for start in starts:
+            block(start)
+    return etas
 
 
 def null_table(n, m, config=None, seed=0, threads=1):

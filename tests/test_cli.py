@@ -188,6 +188,35 @@ class TestBadInputs:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot draw") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("gaussian:rho=2", "rho must lie strictly inside (-1, 1)"),
+            ("block:a=0.5,m=0", "m must be a positive integer"),
+            ("peano:d=9", "depth must be an integer in [1, 8] or inf"),
+        ],
+    )
+    def test_family_refuses_a_parameter_value(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "estimate", "--generator", spec, "--n", "30")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    # 10**18 estimates lie past the address space, so their table is refused before any draw
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ci", "--b1", str(10**18), "--b2", "5"],
+            ["ci", "--b1", "10", "--b2", str(10**18)],
+            ["pvalue", "--m", str(10**18)],
+        ],
+        ids=["ci-b1", "ci-b2", "pvalue-m"],
+    )
+    def test_resampling_count_too_large_to_hold(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--generator", "circle", "--n", "30")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot hold") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_constant_column(self, capsys, tmp_path):
         f = tmp_path / "flat.csv"
         f.write_text("".join(f"1.5,{v}\n" for v in gen_gaussian(30, 0.0, seed=2)[:, 1]))
@@ -390,6 +419,16 @@ class TestPvalueCommand:
         assert "table of 100 draws too small" in err and "Traceback" not in err
         assert not cache.exists()
 
+    def test_table_too_large_to_hold_writes_no_file(self, capsys, tmp_path):
+        cache = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys, "pvalue", "--generator", "circle", "--n", "30", "--m", str(10**18),
+            "--null-cache", str(cache),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot hold") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_cache_must_match_m_and_seed(self, capsys, tmp_path):
         f = tmp_path / "seabirds.csv"
         f.write_text("seabirds,fish\n" + "".join(f"{a!r},{b!r}\n" for a, b in seabirds().tolist()))
@@ -460,6 +499,25 @@ class TestCiCommand:
         assert code == 2
         assert out == ""
         assert "threads must be an integer of at least 1" in err and "Traceback" not in err
+
+
+    @pytest.mark.filterwarnings("ignore:dropped 3 of 20")
+    @pytest.mark.parametrize(
+        "flat, message",
+        [
+            ({"se0"}, "inner resampling scale of the original sample is zero"),
+            ({0, 7, 19}, "3 of 20 outer replicates had zero inner scale"),
+        ],
+        ids=["se0", "outer"],
+    )
+    def test_bootstrap_refusal_exits_3(self, capsys, flat_inner_layers, flat, message):
+        flat_inner_layers(5, flat)
+        code, out, err = run_cli(
+            capsys, "ci", "--generator", "gaussian:rho=0.6", "--n", "30",
+            "--b1", "20", "--b2", "5",
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestReproduceCommand:

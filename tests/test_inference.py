@@ -7,7 +7,9 @@ import pytest
 from hellcorr import inference
 from hellcorr.errors import (
     CacheMismatchError,
+    CapabilityError,
     ConfigError,
+    DiagnosticsError,
     DomainError,
     SizeError,
 )
@@ -176,6 +178,9 @@ class TestNullTable:
             null_table(2, 10)
         with pytest.raises(ConfigError):
             null_table(50, 0)
+        # 10**18 draws lie past the address space: refused before any is drawn
+        with pytest.raises(CapabilityError, match="cannot hold"):
+            null_table(12, 10**18)
 
     @pytest.mark.parametrize("threads", [0, -3, None, 1.5])
     def test_threads_below_one_or_not_integer_refused(self, threads):
@@ -268,6 +273,29 @@ class TestBootstrapCI:
             bootstrap_ci(x, b1=1, b2=5)
         with pytest.raises(ConfigError):
             bootstrap_ci(x, b1=10, b2=1)
+
+    def test_zero_scale_of_the_original_sample_refused(self, flat_inner_layers):
+        flat_inner_layers(5, {"se0"})
+        with pytest.raises(DiagnosticsError, match="scale of the original sample is zero"):
+            bootstrap_ci(gen_gaussian(30, 0.6, seed=24), b1=20, b2=5, seed=25)
+
+    # up to a tenth of the outer replicates may be dropped, 2 of 20
+    @pytest.mark.parametrize("flat", [{7}, {7, 19}])
+    def test_zero_scale_replicates_dropped_with_a_warning(self, flat_inner_layers, flat):
+        x = gen_gaussian(30, 0.6, seed=24)
+        kept = bootstrap_ci(x, b1=20, b2=5, seed=25)
+        flat_inner_layers(5, flat)
+        with pytest.warns(UserWarning, match=f"dropped {len(flat)} of 20 outer replicates"):
+            ci = bootstrap_ci(x, b1=20, b2=5, seed=25)
+        assert ci.dropped == len(flat) and kept.dropped == 0
+        assert (ci.eta, ci.se) == (kept.eta, kept.se)
+        assert 0.0 <= ci.lower <= ci.upper <= 1.0
+
+    def test_more_than_a_tenth_of_replicates_dropped_refused(self, flat_inner_layers):
+        flat_inner_layers(5, {0, 7, 19})
+        with pytest.warns(UserWarning, match="dropped 3 of 20"):
+            with pytest.raises(DiagnosticsError, match="3 of 20 outer replicates had zero"):
+                bootstrap_ci(gen_gaussian(30, 0.6, seed=24), b1=20, b2=5, seed=25)
 
 
 class TestTableCache:
