@@ -194,6 +194,31 @@ class TestTwoNearest:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "True"]
 
+    @pytest.mark.parametrize("block_scipy", [False, True])
+    def test_small_inputs_run_without_scipy(self, block_scipy):
+        # below the tree cutoff no stage loads scipy: the Beta(6,6) quantile is
+        # numpy-only, so every entry point must run with scipy unimportable
+        code = (
+            "import sys\n"
+            + ("sys.modules['scipy'] = None\n" if block_scipy else "")
+            + "import numpy as np\n"
+            "import hellcorr\n"
+            "from hellcorr import cli\n"
+            "rng = np.random.default_rng(0)\n"
+            "for n in (12, 500):\n"
+            "    assert hellcorr.estimate(rng.normal(size=(n, 2))).cv is not None\n"
+            "hellcorr.null_table(12, 50)\n"
+            "hellcorr.bootstrap_ci(rng.normal(size=(12, 2)), b1=20, b2=5)\n"
+            "assert cli.main(['estimate', '--generator', 'circle', '--n', '12']) == 0\n"
+            # a blocked import leaves its None placeholder behind
+            "print(sorted(m for m, mod in sys.modules.items() if mod and m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
     def test_second_at_least_first(self):
         rng = np.random.default_rng(8)
         nn = two_nearest_neighbors(rng.random((200, 2)))
