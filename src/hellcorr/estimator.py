@@ -55,9 +55,13 @@ class EstimateConfig:
                 raise ConfigError(f"{name} must be an integer in [0, {MAX_DEGREE}]")
             object.__setattr__(self, name, int(v))
         if self.cutoffs is not None:
-            k, l = self.cutoffs
+            msg = f"cutoffs must be a pair of integers in [0, {MAX_DEGREE}]"
+            try:
+                k, l = self.cutoffs
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise ConfigError(msg) from None
             if not all(isinstance(v, (int, np.integer)) and 0 <= v <= MAX_DEGREE for v in (k, l)):
-                raise ConfigError(f"cutoffs must be integers in [0, {MAX_DEGREE}]")
+                raise ConfigError(msg)
             object.__setattr__(self, "cutoffs", (int(k), int(l)))
 
 

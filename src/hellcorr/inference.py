@@ -88,6 +88,7 @@ class SignificanceResult:
     estimate: object
     p: float
     critical: float
+    cache_used: bool
     table: NullTable = field(repr=False)
 
 
@@ -99,6 +100,9 @@ def _replicate_etas(count, size, n, draw, cfg, threads):
     """
     if not isinstance(threads, (int, np.integer)) or threads < 1:
         raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
+    if not all(isinstance(v, (int, np.integer)) for v in (count, size, n)):
+        msg = f"replicate counts and sample sizes must be integers, got {count!r}, {size!r}, {n!r}"
+        raise ConfigError(msg)
     try:
         etas = np.empty((count, size))
     except (MemoryError, ValueError) as exc:  # refused before any draw, not part way
@@ -145,6 +149,8 @@ def null_table(n, m, config=None, seed=0, threads=1):
 
 def p_value(eta_hat, table):
     """Add-one Monte-Carlo p-value (1 + #{draws >= eta_hat}) / (m + 1)."""
+    if not 0.0 <= eta_hat <= 1.0:  # NaN fails the comparison too
+        raise DomainError(f"statistic must lie in [0, 1], got {eta_hat!r}")
     count = table.m - int(np.searchsorted(table.draws, eta_hat, side="left"))
     return (1 + count) / (table.m + 1)
 
@@ -177,8 +183,10 @@ def sample_beta_copula(ranks, n_out, seed):
         raise SizeError("ranks must be an (n, 2) array with n >= 2")
     if r.min() < 1 or r.max() > n:
         raise DomainError("ranks must lie in 1..n")
+    if not isinstance(n_out, (int, np.integer)) or n_out < 0:
+        raise SizeError(f"n_out must be a non-negative integer, got {n_out!r}")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "beta-copula")
-    donors = rng.integers(0, n, int(n_out))
+    donors = rng.integers(0, n, n_out)
     rd = r[donors]
     x = rng.beta(rd[:, 0], n + 1 - rd[:, 0])
     y = rng.beta(rd[:, 1], n + 1 - rd[:, 1])
@@ -253,8 +261,9 @@ def significance(sample, m=1000, level=0.95, config=None, seed=0, threads=1, cac
     data, conditioning the reference distribution on the chosen truncation.
     ``cache`` names a null-table file: an existing one is loaded and must match
     n, the fixed cutoffs, m and seed, otherwise the table is built and saved
-    there. The CLI's ``pvalue`` is this one call, with ``cache`` from
-    ``--null-cache``. Both the level and the table size are checked first.
+    there; ``cache_used`` in the result says which of the two happened. The
+    CLI's ``pvalue`` is this one call, with ``cache`` from ``--null-cache``.
+    Both the level and the table size are checked first.
     """
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
@@ -263,7 +272,8 @@ def significance(sample, m=1000, level=0.95, config=None, seed=0, threads=1, cac
     cfg = config if config is not None else EstimateConfig()
     base = estimate(arr, cfg)
     fixed = replace(cfg, cutoffs=base.cutoffs)
-    if cache is not None and os.path.exists(cache):
+    cache_used = cache is not None and os.path.exists(cache)
+    if cache_used:
         table = load_null_table(cache, n=arr.shape[0], config=fixed)
         if (table.m, table.seed) != (m, seed):
             msg = f"cached table has m={table.m}, seed={table.seed}; need m={m}, seed={seed}"
@@ -281,6 +291,7 @@ def significance(sample, m=1000, level=0.95, config=None, seed=0, threads=1, cac
         estimate=base,
         p=p_value(base.eta, table),
         critical=critical_value(table, 1.0 - level),
+        cache_used=cache_used,
         table=table,
     )
 

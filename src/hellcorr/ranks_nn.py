@@ -71,11 +71,13 @@ def pseudo_observations(sample, jitter_seed=None):
     n = arr.shape[0]
     tie = any(np.unique(arr[:, j]).size < n for j in (0, 1))
     work = arr
-    if jitter_seed is not None and tie:
-        work = arr.copy()
-        for j in (0, 1):
-            spread = np.ptp(work[:, j]) or 1.0
-            work[:, j] += substream(jitter_seed, "jitter", j).uniform(-1.0, 1.0, n) * 1e-10 * spread
+    if jitter_seed is not None:
+        streams = [substream(jitter_seed, "jitter", j) for j in (0, 1)]  # checks the seed, ties or not
+        if tie:
+            work = arr.copy()
+            for j, rng in enumerate(streams):
+                spread = np.ptp(work[:, j]) or 1.0
+                work[:, j] += rng.uniform(-1.0, 1.0, n) * 1e-10 * spread
     ranks = column_ranks(work)
     return PseudoObs(points=ranks / (n + 1.0), ranks=ranks, n=n, tie_warning=tie)
 

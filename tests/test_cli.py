@@ -540,6 +540,14 @@ class TestReproduceCommand:
         assert len(lines) == 3
         assert "bias" in lines[0].split(",")
 
+    def test_failed_checks_exit_3_with_the_document(self, capsys, monkeypatch):
+        rows = [{"check": "held", "pass": True}, {"check": "broken", "pass": False}]
+        monkeypatch.setitem(reproduce.SUITES, "table1", lambda scale, seed, threads: rows)
+        code, out, err = run_cli(capsys, "reproduce", "table1")
+        assert code == 3 and err == ""
+        doc = json.loads(out)
+        assert doc["all_pass"] is False and doc["rows"] == rows
+
 
     def test_threads_reach_the_null_tables(self, capsys, monkeypatch):
         class Built(Exception):
@@ -587,6 +595,25 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv, "--threads", "0")
         assert code == 2 and out == "" and ran == []
         assert err.startswith("error:") and "--threads" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--generator", "circle", "--n", "20"],
+            ["pvalue", "--input", "{csv}", "--m", "100", "--null-cache", "{cache}"],
+            ["ci", "--input", "{csv}", "--b1", "10", "--b2", "5"],
+            ["reproduce", "table1"],
+        ],
+        ids=["estimate", "pvalue", "ci", "reproduce"],
+    )
+    def test_negative_seed_exits_2(self, capsys, tmp_path, argv):
+        f = tmp_path / "in.csv"
+        write_sample(f, n=30)
+        argv = [a.format(csv=f, cache=tmp_path / "null.json") for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
 
     def test_version_flag(self):
         proc = subprocess.run(

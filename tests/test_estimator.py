@@ -195,6 +195,14 @@ class TestEstimate:
             # the other samples alone still estimate
             assert estimate_batch(batch[[0, 1, 3]], cfg).shape == (3,)
 
+    def test_negative_jitter_seed_refused(self):
+        x = gen_gaussian(50, 0.3, seed=7)
+        tied = x.copy()
+        tied[0, 0] = tied[1, 0]
+        for sample in (x, tied):  # refused whether or not there are ties to break
+            with pytest.raises(ConfigError, match="seed"):
+                estimate(sample, jitter_seed=-1)
+
     def test_small_sample_rejected(self):
         with pytest.raises(SizeError):
             estimate(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -336,6 +344,11 @@ class TestConfig:
             EstimateConfig(cutoffs=(1, 21))
         with pytest.raises(ConfigError):
             EstimateConfig(cutoffs=(1.5, 2))
+
+    @pytest.mark.parametrize("cutoffs", [(1,), (1, 2, 3), 3, "12x"])
+    def test_malformed_cutoffs(self, cutoffs):
+        with pytest.raises(ConfigError, match="cutoffs must be a pair of integers"):
+            EstimateConfig(cutoffs=cutoffs)
 
     def test_cutoffs_coerced_to_int_tuple(self):
         cfg = EstimateConfig(cutoffs=(np.int64(2), np.int64(3)))

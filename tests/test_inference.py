@@ -62,11 +62,17 @@ def toy_table(draws):
 class TestPValue:
     def test_add_one_conventions(self):
         t = toy_table(np.arange(1, 20) / 20.0)  # 19 draws
-        assert p_value(2.0, t) == pytest.approx(1 / 20)
+        assert p_value(1.0, t) == pytest.approx(1 / 20)
         assert p_value(0.0, t) == 1.0
         # counting is >=, so hitting a draw exactly includes it
         assert p_value(19 / 20, t) == pytest.approx(2 / 20)
         assert p_value(18.5 / 20, t) == pytest.approx(2 / 20)
+
+    @pytest.mark.parametrize("eta", [float("nan"), -0.1, 1.5])
+    def test_statistic_outside_unit_interval_refused(self, eta):
+        t = toy_table(np.arange(1, 6) / 6.0)
+        with pytest.raises(DomainError, match="statistic must lie in"):
+            p_value(eta, t)
 
     def test_monotone_in_statistic(self):
         t = toy_table(np.random.default_rng(0).random(200))
@@ -119,6 +125,13 @@ class TestBetaCopulaSampling:
         bad = np.array([[0, 1], [1, 2]])
         with pytest.raises(DomainError):
             sample_beta_copula(bad, 10, seed=0)
+
+    def test_count_and_seed_validation(self):
+        ranks = pseudo_observations(gen_gaussian(20, 0.5, seed=2)).ranks
+        with pytest.raises(SizeError, match="n_out"):
+            sample_beta_copula(ranks, -1, seed=0)
+        with pytest.raises(ConfigError, match="seed"):
+            sample_beta_copula(ranks, 10, seed=-1)
 
     def test_row_resampling_breaks_distances_beta_copula_does_not(self):
         # the estimator needs positive nearest-neighbour distances; drawing
@@ -182,6 +195,15 @@ class TestNullTable:
         with pytest.raises(CapabilityError, match="cannot hold"):
             null_table(12, 10**18)
 
+    @pytest.mark.parametrize("n, m", [(12, 2.5), (12.0, 5), (np.float64(12), 5)])
+    def test_non_integer_counts_refused(self, n, m):
+        with pytest.raises(ConfigError, match="must be integers"):
+            null_table(n, m)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            null_table(12, 5, seed=-1)
+
     @pytest.mark.parametrize("threads", [0, -3, None, 1.5])
     def test_threads_below_one_or_not_integer_refused(self, threads):
         with pytest.raises(ConfigError, match="threads"):
@@ -219,6 +241,21 @@ class TestSignificance:
         monkeypatch.setattr(inference, "null_table", must_not_build)
         with pytest.raises(DomainError, match="level"):
             significance(gen_gaussian(50, 0.4, seed=19), m=100, level=level)
+
+    def test_cache_used_reports_load_or_build(self, tmp_path):
+        x = gen_gaussian(40, 0.5, seed=20)
+        cache = str(tmp_path / "null.json")
+        cold = significance(x, m=50, seed=21, cache=cache)
+        warm = significance(x, m=50, seed=21, cache=cache)
+        assert (cold.cache_used, warm.cache_used) == (False, True)
+        np.testing.assert_array_equal(cold.table.draws, warm.table.draws)
+        assert significance(x, m=50, seed=21).cache_used is False
+
+    def test_non_integer_table_size_refused(self, tmp_path):
+        cache = tmp_path / "null.json"
+        with pytest.raises(ConfigError, match="must be integers"):
+            significance(gen_gaussian(40, 0.5, seed=20), m=150.5, cache=str(cache))
+        assert not cache.exists()
 
     def test_small_table_refused_before_any_table(self, monkeypatch, tmp_path):
         # ceil(0.995 * 101) = 101 > 100: no order statistic gives the critical value
@@ -271,6 +308,10 @@ class TestBootstrapCI:
             bootstrap_ci(x, level=1.5, b1=10, b2=5)
         with pytest.raises(ConfigError):
             bootstrap_ci(x, b1=1, b2=5)
+        with pytest.raises(ConfigError, match="must be integers"):
+            bootstrap_ci(x, b1=2.5, b2=5)
+        with pytest.raises(ConfigError, match="seed"):
+            bootstrap_ci(x, b1=10, b2=5, seed=-1)
         with pytest.raises(ConfigError):
             bootstrap_ci(x, b1=10, b2=1)
 
@@ -368,6 +409,16 @@ class TestTableCache:
         p = tmp_path / "table.json"
         save_null_table(null_table(12, 20, seed=33), p)
         p.write_text(re.sub(rf'"{field}": \d+', f'"{field}": {value}', p.read_text(), count=1))
+        with pytest.raises(CacheMismatchError, match="malformed"):
+            load_null_table(p)
+
+    @pytest.mark.parametrize("cutoffs", [[1], [1, 2, 3], 3])
+    def test_malformed_cutoffs_rejected(self, tmp_path, cutoffs):
+        p = tmp_path / "table.json"
+        save_null_table(null_table(12, 20, seed=33), p)
+        doc = json.loads(p.read_text())
+        doc["config"]["cutoffs"] = cutoffs
+        p.write_text(json.dumps(doc))
         with pytest.raises(CacheMismatchError, match="malformed"):
             load_null_table(p)
 

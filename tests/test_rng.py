@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from hellcorr.errors import ConfigError
 from hellcorr.rng import substream
 
 
@@ -30,3 +32,14 @@ def test_returns_independent_generator_objects():
     g1.random(100)
     np.testing.assert_array_equal(g1.random(4), substream(7, "t").random(104)[100:])
     assert isinstance(g2, np.random.Generator)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.int64(-2), "3", None])
+def test_seed_not_a_non_negative_integer_refused(seed):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        substream(seed, "t")
+
+
+def test_numpy_integer_seed_is_the_same_stream():
+    for seed in (np.int64(5), np.uint32(5)):
+        np.testing.assert_array_equal(substream(seed, "t").random(4), substream(5, "t").random(4))
