@@ -68,7 +68,7 @@ def build_parser():
 
     sp = sub.add_parser("reproduce", help="packaged simulation suites")
     sp.add_argument("suite", choices=tuple(reproduce.SUITES))
-    sp.add_argument("--scale", choices=("desk", "full"), default="desk")
+    sp.add_argument("--scale", choices=reproduce.SCALES, default="desk")
     run_flags(sp)
     return p
 
@@ -158,17 +158,18 @@ def _estimate_doc(args, arr, source, res):
     }
 
 
+# each command builds its config and checks its own flags before the sample is read or drawn
 def cmd_estimate(args):
+    config = _get_config(args)
     arr, source = _get_sample(args)
-    res = estimate(arr, _get_config(args))
-    return _estimate_doc(args, arr, source, res)
+    return _estimate_doc(args, arr, source, estimate(arr, config))
 
 
 def cmd_pvalue(args):
-    arr, source = _get_sample(args)
     config = _get_config(args)
     if args.m < 100:
         raise ConfigError(f"--m must be at least 100, got {args.m}")
+    arr, source = _get_sample(args)
     cache = args.null_cache or None
     sig = significance(
         arr, args.m, args.level, config, seed=args.seed, threads=args.threads, cache=cache
@@ -187,14 +188,10 @@ def cmd_pvalue(args):
 
 
 def cmd_ci(args):
+    config = _get_config(args)
     arr, source = _get_sample(args)
     ci = bootstrap_ci(
-        arr,
-        level=args.level,
-        b1=args.b1,
-        b2=args.b2,
-        config=_get_config(args),
-        seed=args.seed,
+        arr, level=args.level, b1=args.b1, b2=args.b2, config=config, seed=args.seed,
         threads=args.threads,
     )
     doc = _estimate_doc(args, arr, source, ci.estimate)

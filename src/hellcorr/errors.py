@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of integer arguments."""
+
+import numpy as np
 
 
 class HellcorrError(Exception):
@@ -31,3 +33,17 @@ class CacheMismatchError(HellcorrError, ValueError):
 
 class DiagnosticsError(HellcorrError, RuntimeError):
     """A resampling procedure produced too many unusable replicates to trust its output."""
+
+
+def _integer(value, name, lo, hi=None, error=ConfigError):
+    """``value`` as an int once it is checked to be an integer in [lo, hi] (hi=None: unbounded).
+
+    Python and numpy integers count; a bool, a float or NaN raises ConfigError,
+    an integer out of range ``error``, the class the argument documents.
+    """
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if whole and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    what = f"an integer in [{lo}, {hi}]" if hi is not None else f"an integer of at least {lo}"
+    what = {(0, None): "a non-negative integer", (1, None): "a positive integer"}.get((lo, hi), what)
+    raise (error if whole else ConfigError)(f"{name} must be {what}, got {value!r}")

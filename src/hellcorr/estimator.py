@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import BATCH_POINTS, MAX_DEGREE, design_matrix, tensor_sums
 from .cv import CvResult, select_cutoffs
-from .errors import ConfigError, DegenerateDataError, DomainError
+from .errors import ConfigError, DegenerateDataError, DomainError, _integer
 from .ranks_nn import (
     as_sample, as_samples, column_ranks, nearest_distances, pseudo_observations,
     two_nearest_neighbors,
@@ -50,19 +50,14 @@ class EstimateConfig:
         if self.transform not in _TRANSFORMS:
             raise ConfigError(f"transform must be one of {_TRANSFORMS}")
         for name in ("kmax", "lmax"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or not 0 <= v <= MAX_DEGREE:
-                raise ConfigError(f"{name} must be an integer in [0, {MAX_DEGREE}]")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0, MAX_DEGREE))
         if self.cutoffs is not None:
-            msg = f"cutoffs must be a pair of integers in [0, {MAX_DEGREE}]"
             try:
                 k, l = self.cutoffs
             except (TypeError, ValueError):  # not iterable, or not two items
-                raise ConfigError(msg) from None
-            if not all(isinstance(v, (int, np.integer)) and 0 <= v <= MAX_DEGREE for v in (k, l)):
-                raise ConfigError(msg)
-            object.__setattr__(self, "cutoffs", (int(k), int(l)))
+                raise ConfigError(f"cutoffs must be a pair of integers in [0, {MAX_DEGREE}]") from None
+            pair = tuple(_integer(v, "each cutoff", 0, MAX_DEGREE) for v in (k, l))
+            object.__setattr__(self, "cutoffs", pair)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, SizeError, _integer
 from .rng import substream
 
 # scenario -> Gaussian noise level, tuned against the n=500 reference runs, in
@@ -45,10 +45,9 @@ _PEANO_MAX_D = 8
 _CROSS_MAX_D = 6
 
 
-def _rng_for(seed, tag):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return substream(seed, tag)
+def _rng_for(n, seed, tag):
+    _integer(n, "n", 0, error=SizeError)
+    return seed if isinstance(seed, np.random.Generator) else substream(seed, tag)
 
 
 def canonical_scenario(name):
@@ -68,7 +67,7 @@ def gen_gaussian(n, rho, seed):
     """Bivariate Gaussian sample with correlation rho."""
     if not -1.0 < rho < 1.0:
         raise DomainError("rho must lie strictly inside (-1, 1)")
-    rng = _rng_for(seed, "gaussian")
+    rng = _rng_for(n, seed, "gaussian")
     z = rng.standard_normal((n, 2))
     out = np.empty((n, 2))
     out[:, 0] = z[:, 0]
@@ -148,16 +147,8 @@ def _scenario_points(name, n, rng):
 def gen_scenario(name, n, seed):
     """Sample one of the fifteen reference shape scenarios."""
     disp = canonical_scenario(name)
-    rng = _rng_for(seed, f"scenario-{disp}")
+    rng = _rng_for(n, seed, f"scenario-{disp}")
     return _scenario_points(disp, n, rng)
-
-
-def _check_depth(d, dmax):
-    if d == math.inf:
-        return math.inf
-    if isinstance(d, (int, np.integer)) and 1 <= d <= dmax:
-        return int(d)
-    raise ConfigError(f"depth must be an integer in [1, {dmax}] or inf")
 
 
 def gen_peano(n, d, seed):
@@ -173,8 +164,8 @@ def gen_peano(n, d, seed):
     current piece in the direction those parities dictate. d=inf
     degenerates to independent uniforms.
     """
-    d = _check_depth(d, _PEANO_MAX_D)
-    rng = _rng_for(seed, "peano")
+    d = d if d == math.inf else _integer(d, "depth", 1, _PEANO_MAX_D)
+    rng = _rng_for(n, seed, "peano")
     if d == math.inf:
         return rng.random((n, 2))
     cells = rng.integers(0, 3 ** d, n)
@@ -215,8 +206,8 @@ def gen_cross(n, d, seed):
     exactly uniform at every resolution, the support has zero area, and
     refining resolutions approach independence.
     """
-    d = _check_depth(d, _CROSS_MAX_D)
-    rng = _rng_for(seed, "cross")
+    d = d if d == math.inf else _integer(d, "depth", 1, _CROSS_MAX_D)
+    rng = _rng_for(n, seed, "cross")
     if d == math.inf:
         return rng.random((n, 2))
     mx = 2 ** (d // 2)
@@ -233,8 +224,7 @@ def gen_cross(n, d, seed):
 def _check_block(a, m):
     if not 0.0 < a < 1.0:
         raise DomainError("a must lie strictly inside (0, 1)")
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise DomainError("m must be a positive integer")
+    _integer(m, "m", 1, error=DomainError)
 
 
 def gen_block_copula(n, a, m, seed):
@@ -246,7 +236,7 @@ def gen_block_copula(n, a, m, seed):
     every (a, m).
     """
     _check_block(a, m)
-    rng = _rng_for(seed, "block")
+    rng = _rng_for(n, seed, "block")
     in_block = rng.random(n) < a
     nu = rng.integers(0, m, n)
     uv = rng.random((n, 2))

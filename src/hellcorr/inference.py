@@ -40,6 +40,7 @@ from .errors import (
     DiagnosticsError,
     DomainError,
     SizeError,
+    _integer,
 )
 from .estimator import BATCH_POINTS, EstimateConfig, EstimateResult, estimate, estimate_batch
 from .ranks_nn import as_sample, column_ranks
@@ -97,12 +98,8 @@ def _replicate_etas(count, size, n, draw, cfg, threads):
 
     ``draw(i, out)`` writes replicate i into out, a (size, n, 2) array. Each
     block of replicates is one batched estimate, written into the result in place.
+    The callers have checked every argument.
     """
-    if not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ConfigError(f"threads must be an integer of at least 1, got {threads!r}")
-    if not all(isinstance(v, (int, np.integer)) for v in (count, size, n)):
-        msg = f"replicate counts and sample sizes must be integers, got {count!r}, {size!r}, {n!r}"
-        raise ConfigError(msg)
     try:
         etas = np.empty((count, size))
     except (MemoryError, ValueError) as exc:  # refused before any draw, not part way
@@ -133,10 +130,8 @@ def null_table(n, m, config=None, seed=0, threads=1):
     substream so the result does not depend on the thread count. Each block
     of replicates is one batched estimate, cross-validated or not.
     """
-    if n < 3:
-        raise SizeError("null table needs n >= 3")
-    if m < 1:
-        raise ConfigError("need at least one replicate")
+    n, m = _integer(n, "n", 3, error=SizeError), _integer(m, "m", 1)
+    seed, threads = _integer(seed, "seed", 0), _integer(threads, "threads", 1)
     cfg = config if config is not None else EstimateConfig()
 
     def draw(i, out):
@@ -144,7 +139,7 @@ def null_table(n, m, config=None, seed=0, threads=1):
 
     draws = np.sort(_replicate_etas(m, 1, n, draw, cfg, threads)[:, 0])
     draws.flags.writeable = False
-    return NullTable(n=int(n), draws=draws, config=cfg, seed=int(seed))
+    return NullTable(n=n, draws=draws, config=cfg, seed=seed)
 
 
 def p_value(eta_hat, table):
@@ -177,14 +172,13 @@ def sample_beta_copula(ranks, n_out, seed):
     from Beta(r_k, n+1-r_k) with r_k the donor's rank. Margins are exactly
     uniform and continuous, so output rows are almost surely distinct.
     """
+    _integer(n_out, "n_out", 0, error=SizeError)
     r = np.asarray(ranks)
     n = r.shape[0]
     if r.ndim != 2 or r.shape[1] != 2 or n < 2:
         raise SizeError("ranks must be an (n, 2) array with n >= 2")
     if r.min() < 1 or r.max() > n:
         raise DomainError("ranks must lie in 1..n")
-    if not isinstance(n_out, (int, np.integer)) or n_out < 0:
-        raise SizeError(f"n_out must be a non-negative integer, got {n_out!r}")
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "beta-copula")
     donors = rng.integers(0, n, n_out)
     rd = r[donors]
@@ -203,14 +197,14 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
     reflects estimation noise at the chosen truncation rather than
     selection jitter. The interval is clipped to [0, 1].
     """
+    b1, b2 = _integer(b1, "b1", 2), _integer(b2, "b2", 2)
+    seed, threads = _integer(seed, "seed", 0), _integer(threads, "threads", 1)
     arr = as_sample(sample)
     n = arr.shape[0]
     if n < 4:
         raise SizeError("bootstrap needs n >= 4")
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
-    if b1 < 2 or b2 < 2:
-        raise ConfigError("need at least 2 replicates in each layer")
     cfg = config if config is not None else EstimateConfig()
     base = estimate(arr, cfg)
     fixed = replace(cfg, cutoffs=base.cutoffs)
@@ -263,8 +257,10 @@ def significance(sample, m=1000, level=0.95, config=None, seed=0, threads=1, cac
     n, the fixed cutoffs, m and seed, otherwise the table is built and saved
     there; ``cache_used`` in the result says which of the two happened. The
     CLI's ``pvalue`` is this one call, with ``cache`` from ``--null-cache``.
-    Both the level and the table size are checked first.
+    Every argument is checked first, before the estimate and the cache.
     """
+    m = _integer(m, "m", 1)
+    seed, threads = _integer(seed, "seed", 0), _integer(threads, "threads", 1)
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
     _order_statistic(m, 1.0 - level)

@@ -21,6 +21,7 @@ does not depend on the thread count.
 import statistics
 from functools import partial
 
+from .errors import ConfigError, _integer
 from .estimator import estimate
 from .generators import SCENARIOS, gen_cross, gen_gaussian, gen_peano, gen_scenario
 from .inference import critical_value, null_table
@@ -156,6 +157,7 @@ def suite_figures(kind, scale, seed, threads):
     return rows
 
 
+SCALES = ("desk", "full")
 # suite name -> function(scale, seed, threads) returning the suite's rows
 SUITES = {
     "table1": suite_table1,
@@ -167,6 +169,10 @@ SUITES = {
 
 def run(suite, scale, seed, threads):
     """Run one suite and return its ``hellcorr/reproduce@1`` document."""
+    if suite not in SUITES or scale not in SCALES:
+        msg = f"suite must be one of {', '.join(SUITES)} and scale one of {', '.join(SCALES)}"
+        raise ConfigError(f"{msg}, got {suite!r} and {scale!r}")
+    seed, threads = _integer(seed, "seed", 0), _integer(threads, "threads", 1)
     rows = SUITES[suite](scale, seed, threads)
     return {
         "schema": "hellcorr/reproduce@1",

@@ -4,14 +4,14 @@ Every randomized routine in the package draws from a named substream derived
 from (seed, path) via ``SeedSequence.spawn_key``, so replicate ``i`` sees the
 same stream no matter how many worker threads run or in which order replicates
 are scheduled. Philox is counter-based, which keeps independent streams cheap.
-Every seed reaches numpy through ``substream``, which is where it is checked.
+Every seed reaches numpy through ``substream``, which checks it.
 """
 
 from zlib import crc32
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import _integer
 
 
 def substream(seed, *path):
@@ -21,8 +21,7 @@ def substream(seed, *path):
     Path components may be ints or short strings; strings are hashed with
     crc32 so stream identity does not depend on Python's randomized hash.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = _integer(seed, "seed", 0)
     key = tuple(
         p if isinstance(p, (int, np.integer)) else crc32(str(p).encode())
         for p in path

@@ -17,7 +17,7 @@ from hellcorr import cli, inference, reproduce
 from hellcorr.datasets import seabirds
 from hellcorr.errors import DiagnosticsError
 from hellcorr.estimator import estimate
-from hellcorr.generators import gen_gaussian
+from hellcorr.generators import GeneratorSpec, gen_gaussian
 from hellcorr.inference import significance
 
 
@@ -192,8 +192,8 @@ class TestBadInputs:
         "spec, message",
         [
             ("gaussian:rho=2", "rho must lie strictly inside (-1, 1)"),
-            ("block:a=0.5,m=0", "m must be a positive integer"),
-            ("peano:d=9", "depth must be an integer in [1, 8] or inf"),
+            ("block:a=0.5,m=0", "m must be a positive integer, got 0"),
+            ("peano:d=9", "depth must be an integer in [1, 8], got 9"),
         ],
     )
     def test_family_refuses_a_parameter_value(self, capsys, spec, message):
@@ -249,6 +249,26 @@ class TestBadInputs:
     def test_pvalue_small_m_needs_cache(self, capsys):
         code, _, _ = run_cli(capsys, "pvalue", "--generator", "circle", "--n", "50", "--m", "50")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pvalue", "--m", "50"],
+            ["pvalue", "--k", "3"],
+            ["pvalue", "--kmax", "30"],
+            ["estimate", "--kmax", "30"],
+            ["ci", "--l", "3"],
+        ],
+        ids=["pvalue-m", "pvalue-k-alone", "pvalue-kmax", "estimate-kmax", "ci-l-alone"],
+    )
+    def test_flags_refused_before_the_sample_is_drawn(self, capsys, monkeypatch, argv):
+        def must_not_draw(*args, **kwargs):
+            raise AssertionError("sample drawn for a command that refuses its flags")
+
+        monkeypatch.setattr(GeneratorSpec, "generate", must_not_draw)
+        code, out, err = run_cli(capsys, *argv, "--generator", "gaussian:rho=0.5", "--n", "3000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 _NUMBER = st.one_of(

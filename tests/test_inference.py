@@ -197,7 +197,11 @@ class TestNullTable:
 
     @pytest.mark.parametrize("n, m", [(12, 2.5), (12.0, 5), (np.float64(12), 5)])
     def test_non_integer_counts_refused(self, n, m):
-        with pytest.raises(ConfigError, match="must be integers"):
+        if type(n) is int:
+            message = f"m must be a positive integer, got {m!r}"
+        else:
+            message = f"n must be an integer of at least 3, got {n!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             null_table(n, m)
 
     def test_negative_seed_refused(self):
@@ -253,7 +257,7 @@ class TestSignificance:
 
     def test_non_integer_table_size_refused(self, tmp_path):
         cache = tmp_path / "null.json"
-        with pytest.raises(ConfigError, match="must be integers"):
+        with pytest.raises(ConfigError, match=re.escape("m must be a positive integer, got 150.5")):
             significance(gen_gaussian(40, 0.5, seed=20), m=150.5, cache=str(cache))
         assert not cache.exists()
 
@@ -308,7 +312,7 @@ class TestBootstrapCI:
             bootstrap_ci(x, level=1.5, b1=10, b2=5)
         with pytest.raises(ConfigError):
             bootstrap_ci(x, b1=1, b2=5)
-        with pytest.raises(ConfigError, match="must be integers"):
+        with pytest.raises(ConfigError, match=re.escape("b1 must be an integer of at least 2, got 2.5")):
             bootstrap_ci(x, b1=2.5, b2=5)
         with pytest.raises(ConfigError, match="seed"):
             bootstrap_ci(x, b1=10, b2=5, seed=-1)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hellcorr import reproduce
+from hellcorr.errors import ConfigError
 from hellcorr.estimator import EstimateConfig
 from hellcorr.generators import SCENARIOS
 from hellcorr.inference import NullTable
@@ -90,3 +91,14 @@ def test_table2_rows_pass_on_their_scenario_checks(monkeypatch, broken, eta):
     assert all(type(r["pass"]) is bool for r in rows)
     assert [r["scenario"] for r in rows if not r["pass"]] == ([] if broken is None else [broken])
     assert doc["all_pass"] is (broken is None)
+
+
+@pytest.mark.parametrize("suite, scale", [("table9", "desk"), ("table1", "Desk"), ("table1", None)])
+def test_unknown_suite_or_scale_refused_before_any_suite_runs(monkeypatch, suite, scale):
+    def must_not_run(scale, seed, threads):
+        raise AssertionError("a suite ran for an unknown suite or scale")
+
+    for name in reproduce.SUITES:
+        monkeypatch.setitem(reproduce.SUITES, name, must_not_run)
+    with pytest.raises(ConfigError, match=f"got {suite!r} and {scale!r}"):
+        reproduce.run(suite, scale, 0, 1)
