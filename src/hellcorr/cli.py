@@ -23,7 +23,7 @@ from . import reproduce
 from .errors import CapabilityError, ConfigError, DiagnosticsError, HellcorrError, SizeError
 from .estimator import EstimateConfig, estimate, pearson
 from .generators import GeneratorSpec
-from .inference import bootstrap_ci, significance
+from .inference import _check_ci_args, _check_significance_args, bootstrap_ci, significance
 from .version import __version__
 
 
@@ -169,6 +169,7 @@ def cmd_pvalue(args):
     config = _get_config(args)
     if args.m < 100:
         raise ConfigError(f"--m must be at least 100, got {args.m}")
+    _check_significance_args(args.m, args.level, args.seed, args.threads)
     arr, source = _get_sample(args)
     cache = args.null_cache or None
     sig = significance(
@@ -189,6 +190,7 @@ def cmd_pvalue(args):
 
 def cmd_ci(args):
     config = _get_config(args)
+    _check_ci_args(args.b1, args.b2, args.seed, args.threads)
     arr, source = _get_sample(args)
     ci = bootstrap_ci(
         arr, level=args.level, b1=args.b1, b2=args.b2, config=config, seed=args.seed,

@@ -10,14 +10,17 @@ an inner bootstrap layer. The CLI's ``pvalue`` and ``ci`` commands are one
 call each, to ``significance`` and ``bootstrap_ci``.
 
 Both procedures estimate many same-size samples through one private
-driver, ``_replicate_etas``: a ``draw`` callback writes each replicate (one
-null sample, or one outer resample with its inner layer) from its own RNG
-substreams, and the driver splits the replicates into blocks of about
+routine, ``_replicate_etas``, which splits the replicates (one null sample,
+or one outer resample with its inner layer) into blocks of about
 ``BATCH_POINTS`` observations, sized from the sample size and the number of
-samples per replicate alone, never from the thread count. Each block is one
-``estimate_batch`` call, whether the cutoffs are fixed or cross-validated,
-and a batched estimate does not depend on the other samples of its batch,
-so the results do not depend on the blocks or on the thread count.
+samples per replicate alone, never from the thread count. A ``draw``
+callback fills a whole block: it derives the keys of the block's RNG
+substreams in one call and re-keys one generator per block through them
+(see ``rng``), so every replicate still draws from its own substream. Each
+block is one ``estimate_batch`` call, whether the cutoffs are fixed or
+cross-validated, and a batched estimate does not depend on the other
+samples of its batch, so the results do not depend on the blocks or on the
+thread count.
 ``threads`` maps the blocks over a thread pool; the nearest-neighbour scans
 release the interpreter lock, so threads pay at larger n and cost a little
 at very small n.
@@ -44,7 +47,7 @@ from .errors import (
 )
 from .estimator import BATCH_POINTS, EstimateConfig, EstimateResult, estimate, estimate_batch
 from .ranks_nn import as_sample, column_ranks
-from .rng import substream
+from .rng import _streams, substream
 from .version import __version__
 
 _MAGIC = "hellcorr-null-table"
@@ -93,12 +96,35 @@ class SignificanceResult:
     table: NullTable = field(repr=False)
 
 
+def _check_ci_args(b1, b2, seed, threads):
+    """``bootstrap_ci``'s counts, seed and threads as checked ints.
+
+    The CLI's ``ci`` runs these checks too, before it reads the sample.
+    """
+    b1, b2 = _integer(b1, "b1", 2), _integer(b2, "b2", 2)
+    return b1, b2, _integer(seed, "seed", 0), _integer(threads, "threads", 1)
+
+
+def _check_significance_args(m, level, seed, threads):
+    """``significance``'s m, level, seed and threads, checked; m, seed and threads as ints.
+
+    The CLI's ``pvalue`` runs these checks too, before it reads the sample.
+    """
+    m = _integer(m, "m", 1)
+    seed, threads = _integer(seed, "seed", 0), _integer(threads, "threads", 1)
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must lie in (0, 1)")
+    _order_statistic(m, 1.0 - level)
+    return m, seed, threads
+
+
 def _replicate_etas(count, size, n, draw, cfg, threads):
     """Etas of count replicates, each of size samples of n points: (count, size).
 
-    ``draw(i, out)`` writes replicate i into out, a (size, n, 2) array. Each
-    block of replicates is one batched estimate, written into the result in place.
-    The callers have checked every argument.
+    ``draw(start, out)`` writes replicates start, start + 1, ... into out, a
+    (block, size, n, 2) array. Each block of replicates is one batched
+    estimate, written into the result in place. The callers have checked
+    every argument.
     """
     try:
         etas = np.empty((count, size))
@@ -109,8 +135,7 @@ def _replicate_etas(count, size, n, draw, cfg, threads):
     def block(start):
         stop = min(start + per_block, count)
         samples = np.empty((stop - start, size, n, 2))
-        for k in range(stop - start):
-            draw(start + k, samples[k])
+        draw(start, samples)
         etas[start:stop] = estimate_batch(samples.reshape(-1, n, 2), cfg).reshape(-1, size)
 
     starts = range(0, count, per_block)
@@ -134,8 +159,9 @@ def null_table(n, m, config=None, seed=0, threads=1):
     seed, threads = _integer(seed, "seed", 0), _integer(threads, "threads", 1)
     cfg = config if config is not None else EstimateConfig()
 
-    def draw(i, out):
-        substream(seed, "null", i).random(out=out[0])
+    def draw(start, out):
+        for rng, sample in zip(_streams(seed, "null", np.arange(start, start + len(out))), out):
+            rng.random(out=sample[0])
 
     draws = np.sort(_replicate_etas(m, 1, n, draw, cfg, threads)[:, 0])
     draws.flags.writeable = False
@@ -165,6 +191,35 @@ def critical_value(table, alpha=0.05):
     return float(table.draws[_order_statistic(table.m, alpha) - 1])
 
 
+def _beta_copula(ranks, rngs, out):
+    """Fill out, (..., n_out, 2), with draws from the empirical beta copula of ranks.
+
+    ``ranks`` is one (n, 2) table or a stack of tables broadcasting against
+    out's leading shape; each leading index of out takes the next generator
+    of ``rngs``. A generator draws n_out donors with ``integers``, then both
+    coordinates of every row with one ``standard_gamma`` over the interleaved
+    (r, n+1-r) shapes of its donors' ranks r, and Beta(r, n+1-r) is
+    Ga / (Ga + Gb), taken once for the whole block. Numpy's ``beta`` draws
+    exactly these two gammas whenever a shape exceeds 1, and here the two
+    sum to n + 1 >= 3, so the draws equal those of ``rng.beta``.
+    """
+    r = np.asarray(ranks)
+    if r.ndim not in (2, out.ndim) or r.shape[-1] != 2 or r.shape[-2] < 2:
+        raise SizeError("ranks must be an (n, 2) array with n >= 2")
+    n = r.shape[-2]
+    if r.min() < 1 or r.max() > n:
+        raise DomainError("ranks must lie in 1..n")
+    lead, n_out = out.shape[:-2], out.shape[-2]
+    # shapes[..., k, i] holds (r, n+1-r) for coordinate k of observation i
+    shapes = np.stack((r, n + 1 - r), axis=-1).swapaxes(-3, -2)
+    shapes = np.broadcast_to(shapes, lead + shapes.shape[-3:])
+    gammas = np.empty(lead + (2, n_out, 2))
+    for i, rng in zip(np.ndindex(lead), rngs, strict=True):
+        rng.standard_gamma(shapes[i][:, rng.integers(0, n, n_out)], out=gammas[i])
+    ga, gb = gammas[..., 0], gammas[..., 1]
+    out[...] = np.swapaxes(ga / (ga + gb), -1, -2)
+
+
 def sample_beta_copula(ranks, n_out, seed):
     """Draw from the empirical beta copula of a ranked sample.
 
@@ -172,19 +227,10 @@ def sample_beta_copula(ranks, n_out, seed):
     from Beta(r_k, n+1-r_k) with r_k the donor's rank. Margins are exactly
     uniform and continuous, so output rows are almost surely distinct.
     """
-    _integer(n_out, "n_out", 0, error=SizeError)
-    r = np.asarray(ranks)
-    n = r.shape[0]
-    if r.ndim != 2 or r.shape[1] != 2 or n < 2:
-        raise SizeError("ranks must be an (n, 2) array with n >= 2")
-    if r.min() < 1 or r.max() > n:
-        raise DomainError("ranks must lie in 1..n")
+    out = np.empty((_integer(n_out, "n_out", 0, error=SizeError), 2))
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed, "beta-copula")
-    donors = rng.integers(0, n, n_out)
-    rd = r[donors]
-    x = rng.beta(rd[:, 0], n + 1 - rd[:, 0])
-    y = rng.beta(rd[:, 1], n + 1 - rd[:, 1])
-    return np.column_stack((x, y))
+    _beta_copula(ranks, [rng], out)
+    return out
 
 
 def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threads=1):
@@ -197,8 +243,7 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
     reflects estimation noise at the chosen truncation rather than
     selection jitter. The interval is clipped to [0, 1].
     """
-    b1, b2 = _integer(b1, "b1", 2), _integer(b2, "b2", 2)
-    seed, threads = _integer(seed, "seed", 0), _integer(threads, "threads", 1)
+    b1, b2, seed, threads = _check_ci_args(b1, b2, seed, threads)
     arr = as_sample(sample)
     n = arr.shape[0]
     if n < 4:
@@ -210,18 +255,20 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
     fixed = replace(cfg, cutoffs=base.cutoffs)
     ranks0 = column_ranks(arr)
 
-    def draw_layer(out, rk, *path):
-        for j in range(len(out)):
-            out[j] = sample_beta_copula(rk, n, substream(seed, *path, j))
+    def draw0(_, out):
+        _beta_copula(ranks0, _streams(seed, "se0", np.arange(b2)), out[0])
 
-    layer0 = _replicate_etas(1, b2, n, lambda _, out: draw_layer(out, ranks0, "se0"), fixed, threads)
+    layer0 = _replicate_etas(1, b2, n, draw0, fixed, threads)
     se0 = float(np.std(layer0[0], ddof=1))
     if se0 == 0.0:
         raise DiagnosticsError("inner resampling scale of the original sample is zero")
 
-    def draw(b, out):
-        out[0] = sample_beta_copula(ranks0, n, substream(seed, "outer", b))
-        draw_layer(out[1:], column_ranks(out[0]), "inner", b)
+    def draw(start, out):
+        b = np.arange(start, start + len(out))
+        _beta_copula(ranks0, _streams(seed, "outer", b), out[:, 0])
+        # the whole block's inner (b, j) grid of substreams, keyed in one call
+        inner = _streams(seed, "inner", b[:, None], np.arange(b2))
+        _beta_copula(column_ranks(out[:, :1]), inner, out[:, 1:])
 
     etas = _replicate_etas(b1, 1 + b2, n, draw, fixed, threads)
     se = np.std(etas[:, 1:], axis=1, ddof=1)
@@ -259,11 +306,7 @@ def significance(sample, m=1000, level=0.95, config=None, seed=0, threads=1, cac
     CLI's ``pvalue`` is this one call, with ``cache`` from ``--null-cache``.
     Every argument is checked first, before the estimate and the cache.
     """
-    m = _integer(m, "m", 1)
-    seed, threads = _integer(seed, "seed", 0), _integer(threads, "threads", 1)
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie in (0, 1)")
-    _order_statistic(m, 1.0 - level)
+    m, seed, threads = _check_significance_args(m, level, seed, threads)
     arr = as_sample(sample)
     cfg = config if config is not None else EstimateConfig()
     base = estimate(arr, cfg)

@@ -113,7 +113,11 @@ def _squared_distances(pts):
     xs = np.ascontiguousarray(pts[..., 0])
     ys = np.ascontiguousarray(pts[..., 1])
     step = max(1, min(m, _BRUTE_CELLS // (n * n)))
-    buf = np.empty((2, step, n, n))
+    # start the buffer on a 64-byte boundary: at n = 500 an estimate ran about
+    # 10% slower with it 16, 32 or 48 bytes past one, wherever malloc put it
+    raw = np.empty(2 * step * n * n + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    buf = raw[start : start + 2 * step * n * n].reshape(2, step, n, n)
     diag = np.arange(n)
     for a in range(0, m, step):
         x, y = xs[a : a + step], ys[a : a + step]

@@ -1,29 +1,128 @@
 """Deterministic random-number streams.
 
-Every randomized routine in the package draws from a named substream derived
-from (seed, path) via ``SeedSequence.spawn_key``, so replicate ``i`` sees the
-same stream no matter how many worker threads run or in which order replicates
-are scheduled. Philox is counter-based, which keeps independent streams cheap.
-Every seed reaches numpy through ``substream``, which checks it.
+Every randomized routine in the package draws from a named substream: the
+Philox stream that numpy's ``SeedSequence(seed, spawn_key=path)`` keys, so
+replicate ``i`` sees the same stream no matter how many worker threads run
+or in which order replicates are scheduled. Every seed reaches numpy
+through ``_keys``, which checks it.
+
+``_keys`` computes those keys with numpy's own hashing, without building a
+SeedSequence: the seed's 32-bit words, padded to a pool of 4, are hashed
+into the pool, each further word (the path's) is mixed into every pool
+word, and the pool is hashed into the two 64-bit key words. A path
+component may be an array of indices below 2**32, one word per stream:
+the words before it are mixed once, as Python ints, and the rest
+elementwise in uint32 arithmetic, so a whole block's keys cost a few numpy
+calls. A stream is its key with the Philox counter at zero: ``substream``
+builds a Philox from its one key, and ``_streams`` re-keys one
+``Philox``/``Generator`` pair in place through the public ``state`` setter
+instead of building a generator per stream of a block. A key-built Philox
+has no ``seed_seq``, so ``Generator.spawn`` on a returned stream is
+unsupported; nothing spawns.
 """
 
 from zlib import crc32
 
 import numpy as np
 
-from .errors import _integer
+from .errors import CapabilityError, ConfigError, _integer
+
+_MASK = 0xFFFFFFFF
+_POOL = 4
+# numpy's SeedSequence hash constants, under numpy's names
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value):
+    """The little-endian 32-bit words numpy splits a non-negative int into (0 is one word)."""
+    words = [value & _MASK]
+    while value > _MASK:
+        value >>= 32
+        words.append(value & _MASK)
+    return words
+
+
+def _hashmix(w, h, mult):
+    """Hash a word under hash constant h; returns the hashed word and the next constant."""
+    h2 = (h * mult) & _MASK
+    w = ((w ^ h) * h2) & _MASK
+    return w ^ (w >> 16), h2
+
+
+def _mix(x, y):
+    r = (((_MIX_MULT_L * x) & _MASK) - ((_MIX_MULT_R * y) & _MASK)) & _MASK
+    return r ^ (r >> 16)
+
+
+def _component(p):
+    """Words of one path component: an int's own words, a string's crc32, an index array."""
+    if isinstance(p, np.ndarray):  # one word per stream, so each index must fit in one
+        if np.any(p < 0):
+            raise ConfigError("stream indices must be non-negative")
+        if np.any(p > _MASK):
+            raise CapabilityError(f"stream indices must lie below 2**32, got up to {p.max()}")
+        return [p.astype(np.uint32)]
+    if not isinstance(p, (int, np.integer)):
+        return [crc32(str(p).encode())]
+    if p < 0:
+        raise ConfigError(f"stream path integers must be non-negative, got {p}")
+    return _words(int(p))
+
+
+def _keys(seed, *path):
+    """Philox keys of ``SeedSequence(seed, spawn_key=path)``: (..., 2) uint64.
+
+    Path components may be ints, strings (hashed with crc32, so stream
+    identity does not depend on Python's randomized hash) or integer index
+    arrays, which broadcast against each other into the leading shape.
+    """
+    words = _words(_integer(seed, "seed", 0))
+    words += [0] * (_POOL - len(words))
+    words += [w for p in path for w in _component(p)]
+    h, pool = _INIT_A, []
+    for w in words[:_POOL]:
+        w, h = _hashmix(w, h, _MULT_A)
+        pool.append(w)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                w, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], w)
+    for w in words[_POOL:]:
+        for dst in range(_POOL):
+            v, h = _hashmix(w, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], v)
+    h, state = _INIT_B, []
+    for w in pool:
+        w, h = _hashmix(w, h, _MULT_B)
+        state.append(w)
+    s = np.array(state, dtype=np.uint64)  # (4, ...): every pool word has the leading shape
+    return np.moveaxis(s[0::2] | (s[1::2] << np.uint64(32)), 0, -1)
+
+
+def _streams(seed, *path):
+    """Yield the Generator of each key of ``_keys(seed, *path)``, in C order.
+
+    One Philox is re-keyed in place, its counter and buffer reset, so each
+    stream must be used up before the next is taken.
+    """
+    keys = _keys(seed, *path).reshape(-1, 2).tolist()
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    rng = np.random.Generator(bitgen)
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield rng
 
 
 def substream(seed, *path):
     """Return a Generator for the substream identified by ``path``.
 
     ``seed`` must be a non-negative integer (numpy integers included).
-    Path components may be ints or short strings; strings are hashed with
-    crc32 so stream identity does not depend on Python's randomized hash.
+    Path components may be non-negative ints or short strings; strings are
+    hashed with crc32 so stream identity does not depend on Python's
+    randomized hash.
     """
-    seed = _integer(seed, "seed", 0)
-    key = tuple(
-        p if isinstance(p, (int, np.integer)) else crc32(str(p).encode())
-        for p in path
-    )
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    return np.random.Generator(np.random.Philox(key=_keys(seed, *path)))

@@ -6,6 +6,7 @@ path with the package beyond the Beta(6,6) functions and the error it imports.
 
 import math
 from collections import namedtuple
+from zlib import crc32
 
 import numpy as np
 
@@ -64,3 +65,20 @@ def corner_sums(tables):
         for K, L in np.ndindex(kp, lp)
     ]
     return np.array(sums).T.reshape(tables.shape)
+
+
+def seed_sequence_stream(seed, *path):
+    """The Generator numpy's own SeedSequence keys for (seed, path), strings
+    hashed with crc32 as the package names its substreams."""
+    key = tuple(p if isinstance(p, (int, np.integer)) else crc32(str(p).encode()) for p in path)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def beta_copula(ranks, n_out, rng):
+    """n_out draws from the empirical beta copula of (n, 2) ranks: a uniform
+    donor per row, then one rng.beta call per coordinate."""
+    n = ranks.shape[0]
+    rd = ranks[rng.integers(0, n, n_out)]
+    x = rng.beta(rd[:, 0], n + 1 - rd[:, 0])
+    y = rng.beta(rd[:, 1], n + 1 - rd[:, 1])
+    return np.column_stack((x, y))

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from hellcorr import estimator, reproduce
+from hellcorr import cli, estimator, reproduce
 from hellcorr.datasets import seabirds
 from hellcorr.errors import ConfigError, DomainError, SizeError
 from hellcorr.estimator import EstimateConfig
@@ -124,3 +124,20 @@ def test_numpy_integers_accepted(monkeypatch, tmp_path, entry):
     monkeypatch.setitem(reproduce.SUITES, "table1", _suite)
     for value in (good, np.int64(good), np.uint16(good)):
         call(value, str(tmp_path / f"null-{type(value).__name__}.json"))
+
+
+# each command refuses its counts and seed before it reads or draws the
+# sample: a 3,000,000-point draw, or an input file that is never opened
+CLI_REFUSALS = {
+    "ci-b1": (["ci", "--b1", "1", "--generator", "gaussian:rho=0.5", "--n", "3000000"], "b1"),
+    "ci-b2": (["ci", "--b2", "1", "--generator", "gaussian:rho=0.5", "--n", "3000000"], "b2"),
+    "ci-seed": (["ci", "--seed", "-1", "--input", "never-read.csv"], "seed"),
+    "pvalue-seed": (["pvalue", "--seed", "-1", "--input", "never-read.csv"], "seed"),
+}
+
+
+@pytest.mark.parametrize("argv, name", CLI_REFUSALS.values(), ids=list(CLI_REFUSALS))
+def test_cli_refuses_before_the_sample(monkeypatch, capsys, argv, name):
+    monkeypatch.setattr(cli, "_get_sample", _unreachable)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {name} must be ")

@@ -26,12 +26,15 @@ from hellcorr.inference import (
     save_null_table,
     significance,
 )
-from hellcorr.ranks_nn import pseudo_observations, two_nearest_neighbors
-from hellcorr.rng import substream
+from hellcorr.inference import _beta_copula
+from hellcorr.ranks_nn import column_ranks, pseudo_observations, two_nearest_neighbors
+from hellcorr.rng import _streams
+from oracles import beta_copula, seed_sequence_stream
 
 
 def reference_bootstrap(sample, b1, b2, seed, level=0.95):
-    """The double bootstrap one replicate at a time, as it ran unbatched."""
+    """The double bootstrap one replicate at a time, as it ran unbatched, each
+    resample drawn by the beta-copula oracle from a SeedSequence-keyed stream."""
     n = sample.shape[0]
     base = estimate(sample)
     fixed = EstimateConfig(cutoffs=base.cutoffs)
@@ -39,7 +42,7 @@ def reference_bootstrap(sample, b1, b2, seed, level=0.95):
 
     def inner_se(rk, *path):
         etas = [
-            estimate(sample_beta_copula(rk, n, substream(seed, *path, j)), fixed).eta
+            estimate(beta_copula(rk, n, seed_sequence_stream(seed, *path, j)), fixed).eta
             for j in range(b2)
         ]
         return float(np.std(etas, ddof=1))
@@ -47,7 +50,7 @@ def reference_bootstrap(sample, b1, b2, seed, level=0.95):
     se0 = inner_se(ranks0, "se0")
     pivots = []
     for b in range(b1):
-        rs = sample_beta_copula(ranks0, n, substream(seed, "outer", b))
+        rs = beta_copula(ranks0, n, seed_sequence_stream(seed, "outer", b))
         se_b = inner_se(pseudo_observations(rs).ranks, "inner", b)
         pivots.append((estimate(rs, fixed).eta - base.eta) / se_b)
     alpha = 1.0 - level
@@ -147,6 +150,40 @@ class TestBetaCopulaSampling:
         assert smooth.values.min() > 0.0
 
 
+class TestBetaCopulaOracle:
+    """The samplers against one donor draw and two rng.beta calls per stream."""
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 100])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_sample_matches_oracle(self, n, seed):
+        ranks = column_ranks(np.random.default_rng([n, seed]).random((n, 2)))
+        for n_out in (0, 1, n, 3 * n + 1):
+            np.testing.assert_array_equal(
+                sample_beta_copula(ranks, n_out, seed),
+                beta_copula(ranks, n_out, seed_sequence_stream(seed, "beta-copula")),
+            )
+        ours, oracle = np.random.default_rng(5), np.random.default_rng(5)
+        np.testing.assert_array_equal(sample_beta_copula(ranks, n, ours), beta_copula(ranks, n, oracle))
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 100])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_block_sampler_matches_oracle(self, n, seed):
+        # one rank table per outer replicate, each with its own inner streams
+        b, j = np.array([0, 4, 9]), np.arange(5)
+        ranks = column_ranks(np.random.default_rng([n, seed]).random((len(b), 1, n, 2)))
+        out = np.empty((len(b), len(j), n, 2))
+        _beta_copula(ranks, _streams(seed, "inner", b[:, None], j), out)
+        for u, bb in enumerate(b):
+            for v, jj in enumerate(j):
+                ref = beta_copula(ranks[u, 0], n, seed_sequence_stream(seed, "inner", bb, jj))
+                np.testing.assert_array_equal(out[u, v], ref)
+        shared = np.empty((len(b), n, 2))
+        _beta_copula(ranks[0, 0], _streams(seed, "outer", b), shared)
+        for u, bb in enumerate(b):
+            ref = beta_copula(ranks[0, 0], n, seed_sequence_stream(seed, "outer", bb))
+            np.testing.assert_array_equal(shared[u], ref)
+
+
 class TestNullTable:
     def test_thread_count_does_not_change_draws(self):
         a = null_table(80, 40, seed=9, threads=1)
@@ -160,7 +197,7 @@ class TestNullTable:
         tables = [null_table(n, m, fixed, seed=29, threads=t) for t in (1, 2, 3)]
         for t in tables[1:]:
             np.testing.assert_array_equal(t.draws, tables[0].draws)
-        ref = sorted(estimate(substream(29, "null", i).random((n, 2)), fixed).eta for i in range(m))
+        ref = sorted(estimate(seed_sequence_stream(29, "null", i).random((n, 2)), fixed).eta for i in range(m))
         np.testing.assert_allclose(tables[0].draws, ref, rtol=0, atol=1e-12)
 
     def test_cross_validated_blocks_and_threads(self):
@@ -169,7 +206,7 @@ class TestNullTable:
         tables = [null_table(n, m, seed=33, threads=t) for t in (1, 2, 3)]
         for t in tables[1:]:
             np.testing.assert_array_equal(t.draws, tables[0].draws)
-        ref = sorted(estimate(substream(33, "null", i).random((n, 2))).eta for i in range(m))
+        ref = sorted(estimate(seed_sequence_stream(33, "null", i).random((n, 2))).eta for i in range(m))
         np.testing.assert_array_equal(tables[0].draws, ref)
 
     def test_draws_sorted_and_in_range(self):
@@ -297,6 +334,17 @@ class TestBootstrapCI:
         assert ci.upper == pytest.approx(min(max(upper, 0.0), 1.0), rel=0, abs=1e-12)
         base = estimate(x)
         assert (ci.estimate.eta, ci.estimate.b_raw, ci.estimate.cutoffs) == (base.eta, base.b_raw, base.cutoffs)
+
+    def test_thread_count_does_not_change_interval(self):
+        # five blocks of outer replicates, the last one partial; each block
+        # re-keys a generator of its own, so threads cannot share one
+        n, b1, b2 = 40, 45, 9
+        per_block = BATCH_POINTS // (n * (1 + b2))
+        assert b1 // per_block >= 4 and b1 % per_block != 0
+        x = gen_gaussian(n, 0.5, seed=26)
+        cis = [bootstrap_ci(x, b1=b1, b2=b2, seed=27, threads=t) for t in (1, 2, 3)]
+        fields = [(ci.lower, ci.upper, ci.se, ci.dropped) for ci in cis]
+        assert fields[1] == fields[0] and fields[2] == fields[0]
 
     def test_deterministic(self):
         x = gen_gaussian(50, 0.5, seed=21)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from hellcorr.errors import ConfigError
-from hellcorr.rng import substream
+from hellcorr.errors import CapabilityError, ConfigError
+from hellcorr.rng import _keys, _streams, substream
+from oracles import seed_sequence_stream
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70 + 5, np.uint32(5)]
+# strings, ints of one, two and three 32-bit words, and the empty path
+PATHS = [(), ("t",), ("null", 3), ("outer", 5, "inner", 2), (2**32,), (2**40 + 3, "x", 2**64 + 1), (0,)]
 
 
 def test_same_path_same_stream():
@@ -43,3 +48,55 @@ def test_seed_not_a_non_negative_integer_refused(seed):
 def test_numpy_integer_seed_is_the_same_stream():
     for seed in (np.int64(5), np.uint32(5)):
         np.testing.assert_array_equal(substream(seed, "t").random(4), substream(5, "t").random(4))
+
+
+def _oracle_key(seed, *path):
+    return seed_sequence_stream(seed, *path).bit_generator.state["state"]["key"]
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=repr)
+@pytest.mark.parametrize("path", PATHS, ids=repr)
+def test_keys_and_substream_match_seed_sequence(seed, path):
+    np.testing.assert_array_equal(_keys(seed, *path), _oracle_key(seed, *path))
+    ours, oracle = substream(seed, *path), seed_sequence_stream(seed, *path)
+    np.testing.assert_array_equal(ours.random(9), oracle.random(9))
+    np.testing.assert_array_equal(ours.integers(0, 7, 5), oracle.integers(0, 7, 5))
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=repr)
+def test_index_vectors_match_seed_sequence(seed):
+    idx = np.array([0, 1, 2, 7, 2**32 - 1])
+    oracle = [_oracle_key(seed, "null", i) for i in idx]
+    np.testing.assert_array_equal(_keys(seed, "null", idx), oracle)
+    b, j = np.array([0, 3, 2**31]), np.arange(4)
+    grid = _keys(seed, "inner", b[:, None], j)
+    assert grid.shape == (3, 4, 2)
+    np.testing.assert_array_equal(grid, [[_oracle_key(seed, "inner", x, y) for y in j] for x in b])
+    # a fixed component after the index array, and a path that is only the array
+    np.testing.assert_array_equal(_keys(seed, idx, "tail")[1], _oracle_key(seed, 1, "tail"))
+    np.testing.assert_array_equal(_keys(seed, idx)[0], _oracle_key(seed, 0))
+
+
+def test_streams_are_rekeyed_from_a_clean_state():
+    # an odd count of 32-bit draws leaves half a 64-bit word buffered; the
+    # next stream must not see it
+    idx = np.arange(4)
+    for i, rng in zip(idx, _streams(9, "blk", idx), strict=True):
+        oracle = seed_sequence_stream(9, "blk", i)
+        np.testing.assert_array_equal(rng.integers(0, 5, 3), oracle.integers(0, 5, 3))
+        shapes = [2.0, 7.5, 0.5]
+        np.testing.assert_array_equal(rng.standard_gamma(shapes), oracle.standard_gamma(shapes))
+
+
+@pytest.mark.parametrize("idx", [np.array([0, 2**32]), np.array([2**40])], ids=["2**32", "2**40"])
+def test_index_of_two_words_refused(idx):
+    with pytest.raises(CapabilityError, match="below 2"):
+        _keys(0, "null", idx)
+
+
+@pytest.mark.parametrize("path", [(-1,), ("t", np.int64(-3)), ("t", np.array([0, -1]))], ids=repr)
+def test_negative_path_integer_refused(path):
+    with pytest.raises(ConfigError, match="non-negative"):
+        _keys(0, *path)
+    with pytest.raises(ConfigError, match="non-negative"):
+        substream(0, *path)
