@@ -2,20 +2,29 @@
 
 Raw samples are reduced to their column ranks, giving points in the open unit
 square; every later stage sees only those ranks. Nearest-neighbour distances
-come from a brute-force O(n^2) scan below n = 1024 and from a k-d tree
+come from a banded scan below n = 1024 and from a k-d tree
 (``scipy.spatial.cKDTree``) at and above it; both are exact, and the tests
-pin the tree's distances to the brute scan's bit for bit. The tree is the
-only stage of the package that loads scipy, so inputs below the cutoff never
-import it. The brute scan has one body, over batches of same-size point sets,
-and two reductions: ``two_nearest_neighbors`` keeps index, first and second
-distance, which cross-validation needs; ``nearest_distances`` keeps the first
-distance alone, which is all fixed cutoffs need. Where a point's two nearest
-neighbours are equidistant the two paths may name different neighbours; the
-cross-validation term that reads the index is then multiplied by
-second - first = 0.
+pin both to a brute-force oracle bit for bit. The tree is the only stage of
+the package that loads scipy, so inputs below the cutoff never import it.
+
+The banded scan sorts each set by x and compares each tile of _BAND_ROWS
+consecutive x-ranks only with the columns up to _BAND_REACH ranks to either
+side of it, for every set of a batch in one numpy call per chunk. Its squared
+distances are those of a full scan, dx * dx + dy * dy of the same operands.
+Rounding is monotone, so no column past a row's band lies nearer than the
+x-gap to the first column outside it; a row whose band bound is below that
+gap squared is settled, and every other row scans its whole set. The bound is
+the band's first distance for ``nearest_distances``, which is all fixed
+cutoffs need, and its second for ``two_nearest_neighbors``, which keeps the
+first's index and both distances for cross-validation. A small set, where
+the band would keep most of the n * n cells, is scanned whole and unsorted.
+Where a point's two nearest neighbours are equidistant the paths may name
+different neighbours; the cross-validation term that reads the index is then
+multiplied by second - first = 0.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,13 +32,28 @@ from .errors import SizeError
 from .rng import substream
 
 # inputs of this size and larger go to the k-d tree; smaller ones stay on the
-# brute scan and so never import scipy at all. The tree is faster per call
-# from about n = 256, but a process pays 0.35-0.45 s (2-core VM) to import
-# scipy.spatial once, which a lower cutoff would add to every n >= 256 run
+# banded scan and so never import scipy at all. Per sample on beta66 points of
+# Gaussian samples (2-core VM, best of 5), band in batches of 20 or one at a
+# time against the tree: 0.40 or 0.45 vs 0.42-0.44 ms at n = 512, 0.64-0.77 or
+# 0.92 vs 0.63 ms at n = 768, 0.95 or 1.02-1.07 vs 0.89-1.29 ms at n = 1023. A
+# lower cutoff would gain little and add the 0.35-0.45 s a process pays to
+# import scipy.spatial
 _TREE_MIN_N = 1024
-# distance cells one batched brute step holds: the size of a single n = 512
-# scan, so batching does not raise the scan's peak memory
+# distance cells one step of the full scan holds, where one tile spans each
+# set: the size of a single n = 512 scan
 _BRUTE_CELLS = 1 << 18
+# distance cells one banded step holds, and one step of whole-set rows: one
+# n = 500 set. On study-n500 a step of 1 << 18 cells (four sets) ran no
+# faster and left peak RSS at 57 MB against 48 MB with this size
+_BAND_CELLS = 1 << 16
+# the band: tiles of _BAND_ROWS consecutive x-ranks, each compared with the
+# columns up to _BAND_REACH ranks to either side. At 16/48 the scan took
+# 0.3-0.4x the full scan's time per set at n = 500 and about 0.2x at n = 1023
+# (beta66 points of Gaussian and scenario samples, 2-core VM); 24/40, 16/40
+# and 32/32 were no faster at n = 500, and a shorter reach leaves more rows to
+# a whole-set scan (at 16/48 at most 2.1% at n = 500 and 5.9% at n = 1023).
+_BAND_ROWS = 16
+_BAND_REACH = 48
 
 
 def as_sample(x):
@@ -105,31 +129,126 @@ class TwoNearest:
     second: np.ndarray
 
 
-def _squared_distances(pts):
-    """Yield (start, d2) over chunks of (m, n, 2) point sets: d2[s, i, j] is the
-    squared distance of points i and j of set start + s, inf on the diagonal.
-    Every chunk is written into the same two buffers, which the next overwrites."""
-    m, n, _ = pts.shape
-    xs = np.ascontiguousarray(pts[..., 0])
-    ys = np.ascontiguousarray(pts[..., 1])
-    step = max(1, min(m, _BRUTE_CELLS // (n * n)))
-    # start the buffer on a 64-byte boundary: at n = 500 an estimate ran about
-    # 10% slower with it 16, 32 or 48 bytes past one, wherever malloc put it
-    raw = np.empty(2 * step * n * n + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    buf = raw[start : start + 2 * step * n * n].reshape(2, step, n, n)
-    diag = np.arange(n)
+@lru_cache(maxsize=8)
+def _band(n):
+    """Tiles of the band over an x-sorted n-point set: the rows (T, B) and
+    columns (T, C) of each tile, the flat position of each row's own column
+    in a set's (T, B, C) distances, and each tile's first column outside the
+    band below and above it, -1 where there is none. A band that would keep
+    more than two thirds of the n * n cells saves little or less than its
+    sort costs (banded, n = 113 took 1.13-1.25x and n = 130 0.97-1.09x the
+    full scan's time), so there one unsorted tile spans the set, the full
+    scan, and below is None."""
+    width = _BAND_ROWS + 2 * _BAND_REACH
+    if 3 * width > 2 * n:
+        r = np.arange(n)[None]
+        return r, r, r[0] * (n + 1), None, None
+    row0 = np.minimum(np.arange(0, n, _BAND_ROWS), n - _BAND_ROWS)
+    col0 = np.clip(row0 - _BAND_REACH, 0, n - width)
+    r = row0[:, None] + np.arange(_BAND_ROWS)
+    own = np.arange(r.size) * width + (r - col0[:, None]).ravel()
+    above = np.where(col0 + width < n, col0 + width, -1)
+    return r, col0[:, None] + np.arange(width), own, col0 - 1, above
+
+
+def _squared(xr, xc, yr, yc, out, dy):
+    """dx * dx + dy * dy of rows (xr, yr) against columns (xc, yc), into out;
+    every squared distance of the scan comes from here. Spends dy."""
+    np.subtract(xr, xc, out=out)
+    out *= out
+    np.subtract(yr, yc, out=dy)
+    dy *= dy
+    out += dy
+    return out
+
+
+def _reduce(sq, two):
+    """Position of the least entry along the last axis of squared distances
+    sq, the least and the second least, or None, the least and None unless
+    two. Spends sq."""
+    if not two:
+        return None, sq.min(axis=-1), None
+    flat = sq.reshape(-1, sq.shape[-1])
+    at = np.arange(len(flat)), flat.argmin(axis=1)
+    first = flat[at]
+    flat[at] = np.inf
+    return (v.reshape(sq.shape[:-1]) for v in (at[1], first, flat.min(axis=1)))
+
+
+def _nearest_squared(sets, two):
+    """The banded scan of (m, n, 2) sets: each point's nearest neighbour's
+    index (None unless two) and its squared first and, if two, second
+    nearest-neighbour distance, stacked (1 + two, m, n)."""
+    m, n, _ = sets.shape
+    r, c, own, below, above = _band(n)
+    x, y = sets[..., 0], sets[..., 1]
+    if below is None:
+        x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    else:
+        order = np.argsort(x, axis=1, kind="stable")
+        x, y = (np.take_along_axis(v, order, axis=1) for v in (x, y))
+        # squared x-gap from each row to the first column outside its tile's
+        # band on either side: fl is monotone, so no column past it is nearer
+        xr = x.take(r, axis=1)
+        lo = x.take(below, axis=1)[..., None]
+        lo[:, below < 0] = -np.inf
+        hi = x.take(above, axis=1)[..., None]
+        hi[:, above < 0] = np.inf
+        gap = np.minimum((xr - lo) ** 2, (hi - xr) ** 2)
+        settled = np.empty(gap.shape, dtype=bool)
+    idx1 = np.empty((m, n), dtype=np.intp) if two else None
+    d = np.empty((1 + two, m, n))
+    cells = own.size * c.shape[1]
+    step = max(1, min(m, (_BRUTE_CELLS if below is None else _BAND_CELLS) // cells))
+    # start the tile buffer on a 64-byte boundary: at n = 500 an estimate ran
+    # about 10% slower with it 16, 32 or 48 bytes past one, wherever malloc put it
+    raw = np.empty(2 * step * cells + 8)
+    skip = (-raw.ctypes.data % 64) // 8
+    buf = raw[skip : skip + 2 * step * cells].reshape(2, step, *r.shape, c.shape[1])
     for a in range(0, m, step):
-        x, y = xs[a : a + step], ys[a : a + step]
-        d2, dy = buf[:, : len(x)]
-        # dx * dx + dy * dy
-        np.subtract(x[:, :, None], x[:, None, :], out=d2)
-        d2 *= d2
-        np.subtract(y[:, :, None], y[:, None, :], out=dy)
-        dy *= dy
-        d2 += dy
-        d2[:, diag, diag] = np.inf
-        yield a, d2
+        k = min(step, m - a)
+        xa, ya = x[a : a + k], y[a : a + k]
+        if below is None:  # one tile: its rows and columns are the set
+            xr_a = xc_a = xa[:, None]
+            yr_a = yc_a = ya[:, None]
+        else:
+            xr_a, xc_a = xr[a : a + k], xa.take(c, axis=1)
+            yr_a, yc_a = ya.take(r, axis=1), ya.take(c, axis=1)
+        d2 = _squared(
+            xr_a[..., None], xc_a[:, :, None, :], yr_a[..., None], yc_a[:, :, None, :], *buf[:, :k]
+        )
+        d2.reshape(k, -1)[:, own] = np.inf
+        pos, first, second = _reduce(d2, two)
+        rows = np.s_[a : a + k, None] if below is None else np.s_[a : a + k, r]
+        d[0][rows] = first
+        if two:
+            d[1][rows] = second
+            idx1[rows] = pos + c[:, :1]
+        if below is not None:
+            # settled: the gap exceeds the band's bound on the row's answer
+            np.greater(gap[a : a + k], second if two else first, out=settled[a : a + k])
+    if below is None:
+        return idx1, d
+    # every row the band did not settle scans its whole set, after all the
+    # tiles have stored theirs (the last tile's rows overlap the one before)
+    s_all, t, i = np.nonzero(~settled)
+    p_all = r[t, i]
+    per = _BAND_CELLS // n
+    for b in range(0, len(p_all), per):
+        s, p = s_all[b : b + per], p_all[b : b + per]
+        sq = _squared(x[s, p][:, None], x[s], y[s, p][:, None], y[s], *np.empty((2, len(p), n)))
+        sq[np.arange(len(p)), p] = np.inf
+        pos, d[0, s, p], second = _reduce(sq, two)
+        if two:
+            d[1, s, p], idx1[s, p] = second, pos
+    # back to input order
+    out = np.empty_like(d)
+    np.put_along_axis(out, order[None], d, axis=2)
+    if two:
+        idx = np.empty_like(idx1)
+        np.put_along_axis(idx, order, np.take_along_axis(order, idx1, axis=1), axis=1)
+        idx1 = idx
+    return idx1, out
 
 
 def _two_nearest_tree(pts):
@@ -151,19 +270,14 @@ def two_nearest_neighbors(points):
     pts = np.asarray(points, dtype=float)
     sets = as_samples(pts if pts.ndim == 3 else pts[None])
     n = sets.shape[1]
-    idx1 = np.empty((len(sets), n), dtype=np.intp)
-    d1, d2 = np.empty((2, len(sets), n))
     if n >= _TREE_MIN_N:
+        idx1 = np.empty((len(sets), n), dtype=np.intp)
+        d1, d2 = np.empty((2, len(sets), n))
         for s, p in enumerate(sets):
             idx1[s], d1[s], d2[s] = _two_nearest_tree(p)
     else:
-        for a, sq in _squared_distances(sets):
-            rows = slice(a, a + len(sq))
-            first = sq.argmin(axis=2)[..., None]
-            idx1[rows] = first[..., 0]
-            d1[rows] = np.sqrt(np.take_along_axis(sq, first, axis=2)[..., 0])
-            np.put_along_axis(sq, first, np.inf, axis=2)
-            d2[rows] = np.sqrt(sq.min(axis=2))
+        idx1, sq = _nearest_squared(sets, True)
+        d1, d2 = np.sqrt(sq)
     return TwoNearest(*(a.reshape(pts.shape[:-1]) for a in (idx1, d1, d2)))
 
 
@@ -176,7 +290,4 @@ def nearest_distances(points):
     pts = as_samples(points)
     if pts.shape[1] >= _TREE_MIN_N:
         return two_nearest_neighbors(pts).values
-    out = np.empty(pts.shape[:2])
-    for a, sq in _squared_distances(pts):
-        out[a : a + len(sq)] = np.sqrt(sq.min(axis=2))
-    return out
+    return np.sqrt(_nearest_squared(pts, False)[1][0])

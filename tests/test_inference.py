@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -480,17 +481,47 @@ class TestTableCache:
         save_null_table(t, p)
         before = p.read_bytes()
 
-        def dump_then_fail(doc, fh):
-            fh.write('{"magic": "hellcorr-null-table", "draws": [0.1, ')
-            raise OSError("disk full")
+        class FullDisk:
+            """A file that takes part of a write, then reports a full disk."""
 
-        monkeypatch.setattr(json, "dump", dump_then_fail)
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(inference, "open", lambda *a: FullDisk(open(*a)), raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_null_table(null_table(50, 20, seed=28), p)
         monkeypatch.undo()
         assert p.read_bytes() == before
         np.testing.assert_array_equal(load_null_table(p, n=50).draws, t.draws)
         assert [f.name for f in tmp_path.iterdir()] == ["table.json"]
+
+    def test_written_bytes_are_the_json_document(self, tmp_path):
+        t = null_table(12, 50, EstimateConfig(cutoffs=(1, 2)), seed=34)
+        p = tmp_path / "table.json"
+        save_null_table(t, p)
+        doc = {
+            "magic": "hellcorr-null-table",
+            "format_version": 1,
+            "n": 12,
+            "seed": 34,
+            "config": {"cutoffs": [1, 2], "kmax": 5, "lmax": 5, "transform": "beta66"},
+            "key": t.key,
+            "draws": t.draws.tolist(),
+        }
+        assert p.read_bytes() == json.dumps(doc).encode()
+        streamed = io.StringIO()
+        json.dump(doc, streamed)
+        assert streamed.getvalue() == json.dumps(doc)
 
     def test_unusable_paths_are_config_errors(self, tmp_path):
         t = null_table(50, 20, seed=30)

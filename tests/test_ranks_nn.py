@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+from hellcorr import ranks_nn
 from hellcorr.cv import select_cutoffs
 from hellcorr.errors import SizeError
 from hellcorr.generators import gen_gaussian
 from hellcorr.ranks_nn import (
+    _BAND_CELLS,
+    _BAND_REACH,
+    _BAND_ROWS,
+    _BRUTE_CELLS,
     TwoNearest,
-    _squared_distances,
+    _band,
     _two_nearest_tree,
     column_ranks,
     nearest_distances,
@@ -111,8 +116,8 @@ class TestPseudoObservations:
 
 class TestNearestDistances:
     def test_equal_the_single_scan_bitwise(self):
-        # batches of several sizes: a brute step holds many small sets, one
-        # n = 600 set, or goes to the tree at n >= 1024
+        # batches of several sizes: a scan step holds many small sets or one
+        # banded n = 600 set, or the batch goes to the tree at n >= 1024
         rng = np.random.default_rng(15)
         for n, m in ((2, 5), (3, 40), (12, 3000), (200, 9), (600, 3), (1024, 2)):
             for style in ("uniform", "duplicates"):
@@ -130,8 +135,8 @@ class TestNearestDistances:
 
 class TestTwoNearest:
     def test_batch_equals_oracle(self):
-        # a brute step holds 1820 sets at n = 12, 6 at n = 200 and one from
-        # n = 363 on, so these batches cross chunk boundaries
+        # a scan step holds 1820 sets at n = 12, 2 at n = 200 and one from
+        # n = 289 on, so these batches cross chunk boundaries
         rng = np.random.default_rng(16)
         for n, m in ((2, 4), (3, 7), (12, 1830), (200, 13), (600, 3), (1023, 2), (1024, 2)):
             for style in ("uniform", "duplicates"):
@@ -271,6 +276,68 @@ class TestTwoNearest:
             assert a.best == b.best
 
 
+def chunk_sets(n):
+    """Sets one step of the scan holds at n points."""
+    r, c, _, below, _ = _band(n)
+    return max(1, (_BRUTE_CELLS if below is None else _BAND_CELLS) // (r.size * c.shape[1]))
+
+
+def sort_min():
+    """The smallest n the band sorts and tiles; below it one tile spans the set."""
+    return next(n for n in range(2, 1024) if _band(n)[3] is not None)
+
+
+class TestBand:
+    """The banded scan below the tree cutoff against the brute oracle."""
+
+    def check(self, pts):
+        nn = two_nearest_neighbors(pts)
+        np.testing.assert_array_equal(nearest_distances(pts), nn.values)
+        for i in range(len(pts)):
+            assert_matches_brute(pts[i], nn.index[i], nn.values[i], nn.second[i])
+        return nn
+
+    @pytest.mark.parametrize("style", ["uniform", "gaussian", "clustered", "duplicates"])
+    def test_sizes_around_the_band_edges(self, style):
+        # each batch crosses two chunk boundaries
+        width = _BAND_ROWS + 2 * _BAND_REACH
+        edge = sort_min()
+        assert _band(edge - 1)[3] is None and width < edge
+        rng = np.random.default_rng(17)
+        for n in (width - 1, width, width + 1, edge - 1, edge, edge + 1, 500, 1023):
+            m = 2 * chunk_sets(n) + 1
+            self.check(np.stack([rand_points(rng, n, style) for _ in range(m)]))
+
+    @pytest.mark.parametrize("n", [255, 511])
+    def test_rank_grid_with_equidistant_ties(self, n):
+        # n + 1 = 2**k makes the rank points dyadic, so equal lattice offsets
+        # give exactly equal distances, as the estimator's transform="none" sees them
+        rhos = (0.0, 0.7, 0.99)
+        pts = np.stack([pseudo_observations(gen_gaussian(n, rho, seed=3)).points for rho in rhos])
+        nn = self.check(pts)
+        assert np.all(np.count_nonzero(nn.values == nn.second, axis=1) >= 3)
+
+    def test_every_row_unsettled(self, monkeypatch):
+        # x = i/n, y = frac(i * golden ratio) * 1e6: each point's nearest
+        # neighbour lies far off in y, beyond every band's x-gap, so every row
+        # falls back to a scan of its whole set
+        n = 500
+        i = np.arange(n)
+        pts = np.stack([i / n, (i * (1 + 5**0.5) / 2) % 1.0 * 1e6], axis=1)[None]
+        full_rows = []
+        reduce = ranks_nn._reduce
+
+        def spy(sq, two):
+            if sq.ndim == 2:
+                full_rows.append(len(sq))
+            return reduce(sq, two)
+
+        monkeypatch.setattr(ranks_nn, "_reduce", spy)
+        self.check(pts)
+        # one scan per row and call, the rows the last tile shares included
+        assert sum(full_rows) == 2 * _band(n)[0].size
+
+
 class TestLeaveOneOut:
     def test_matches_brute_on_reduced_set(self):
         # removing point e changes the nearest-neighbour distance of point i
@@ -287,8 +354,19 @@ class TestLeaveOneOut:
 
 
 @pytest.mark.parametrize("m, n", [(1, 500), (3, 7), (40, 90)])
-def test_distance_buffer_starts_on_a_cache_line(m, n):
-    # a scan over a buffer 16 to 48 bytes past a 64-byte boundary ran about 10% slower
+def test_distance_buffer_starts_on_a_cache_line(m, n, monkeypatch):
+    # a scan over a buffer 16 to 48 bytes past a 64-byte boundary ran about
+    # 10% slower; every chunk's tile distances start the band's buffer
+    starts = []
+    reduce = ranks_nn._reduce
+
+    def spy(sq, two):
+        if sq.ndim == 4:
+            starts.append(sq.ctypes.data % 64)
+        return reduce(sq, two)
+
+    monkeypatch.setattr(ranks_nn, "_reduce", spy)
     pts = np.random.default_rng(n).random((m, n, 2))
-    for _, d2 in _squared_distances(pts):
-        assert d2.ctypes.data % 64 == 0
+    nearest_distances(pts)
+    two_nearest_neighbors(pts)
+    assert starts and set(starts) == {0}
