@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import csv
 import gc
@@ -354,7 +355,13 @@ class TestPvalueCommand:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("kind", ["string", "two_d", "descending", "nan", "above_one", "empty"])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "string", "two_d", "descending", "nan", "above_one", "empty",
+            "not_base64", "ragged", "v1_list", "v1_file",
+        ],
+    )
     def test_malformed_draws_map_to_2(self, capsys, tmp_path, kind):
         cache = tmp_path / "null.json"
         args = (
@@ -363,20 +370,33 @@ class TestPvalueCommand:
         )
         assert run_cli(capsys, *args)[0] == 0
         doc = json.loads(cache.read_text())
-        draws = doc["draws"]
+        text = doc["draws"]
+        draws = np.frombuffer(base64.b64decode(text), "<f8")
+
+        def enc(values):
+            return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
         doc["draws"] = {
             "string": "abc",
-            "two_d": [draws[:50], draws[50:]],
-            "descending": draws[::-1],
-            "nan": [float("nan")] * len(draws),
-            "above_one": [5.0] * len(draws),
-            "empty": [],
+            "two_d": [enc(draws[:50]), enc(draws[50:])],
+            "descending": enc(draws[::-1]),
+            "nan": enc([float("nan")] * len(draws)),
+            "above_one": enc([5.0] * len(draws)),
+            "empty": enc([]),
+            "not_base64": text[:8] + "*" + text[8:],
+            "ragged": base64.b64encode(draws.tobytes()[:-1]).decode(),
+            "v1_list": draws.tolist(),
+            "v1_file": draws.tolist(),
         }[kind]
+        if kind == "v1_file":
+            doc["format_version"] = 1
         cache.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, *args)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+        if kind == "v1_file":
+            assert "older null-table cache format" in err and "deleted" in err
 
     def test_cache_path_is_a_directory(self, capsys, tmp_path):
         code, out, err = run_cli(

@@ -1,6 +1,8 @@
+import base64
 import io
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -31,6 +33,15 @@ from hellcorr.inference import _beta_copula
 from hellcorr.ranks_nn import column_ranks, pseudo_observations, two_nearest_neighbors
 from hellcorr.rng import _streams
 from oracles import beta_copula, seed_sequence_stream
+
+
+def encode_draws(values):
+    """Draws as a version-2 null-table file stores them."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def decode_draws(text):
+    return np.frombuffer(base64.b64decode(text), "<f8")
 
 
 def reference_bootstrap(sample, b1, b2, seed, level=0.95):
@@ -436,25 +447,56 @@ class TestTableCache:
         np.testing.assert_array_equal(back.draws, t.draws)
 
     @pytest.mark.parametrize(
-        "kind", ["string", "two_d", "descending", "nan", "above_one", "empty", "strings"]
+        "kind",
+        [
+            "string", "two_d", "descending", "nan", "above_one", "empty", "strings",
+            "not_base64", "ragged", "v1_list",
+        ],
     )
     def test_malformed_draws_rejected(self, tmp_path, kind):
         p = tmp_path / "table.json"
         save_null_table(null_table(12, 20, seed=32), p)
         doc = json.loads(p.read_text())
-        draws = doc["draws"]
+        draws = decode_draws(doc["draws"])
+        text = doc["draws"]
         doc["draws"] = {
             "string": "0.5",
-            "two_d": [draws[:10], draws[10:]],
-            "descending": draws[::-1],
-            "nan": [float("nan")] * len(draws),
-            "above_one": [5.0] * len(draws),
-            "empty": [],
+            "two_d": [encode_draws(draws[:10]), encode_draws(draws[10:])],
+            "descending": encode_draws(draws[::-1]),
+            "nan": encode_draws([float("nan")] * len(draws)),
+            "above_one": encode_draws([5.0] * len(draws)),
+            "empty": encode_draws([]),
             "strings": [str(v) for v in draws],
+            # a character outside the alphabet, which a decoder that does not
+            # validate would drop, leaving the draws intact
+            "not_base64": text[:8] + "*" + text[8:],
+            "ragged": base64.b64encode(np.asarray(draws, "<f8").tobytes()[:-1]).decode(),
+            "v1_list": draws.tolist(),
         }[kind]
         p.write_text(json.dumps(doc))
         with pytest.raises(CacheMismatchError):
             load_null_table(p)
+
+    def test_version_1_file_refused_as_older_format(self, tmp_path):
+        t = null_table(12, 20, seed=32)
+        p = tmp_path / "table.json"
+        save_null_table(t, p)
+        doc = json.loads(p.read_text())
+        doc.update(format_version=1, draws=t.draws.tolist())
+        p.write_text(json.dumps(doc))
+        with pytest.raises(CacheMismatchError, match="older null-table cache format .* deleted"):
+            load_null_table(p)
+
+    def test_edge_values_roundtrip_bit_for_bit(self, tmp_path):
+        half = 0.5
+        draws = np.array([0.0, 5e-324, half, np.nextafter(half, 1.0), 1.0])
+        t = NullTable(n=12, draws=draws, config=EstimateConfig(), seed=0)
+        p = tmp_path / "table.json"
+        save_null_table(t, p)
+        back = load_null_table(p, n=12)
+        assert back.draws.tobytes() == draws.tobytes()
+        assert back.draws[1] == np.finfo(float).smallest_subnormal
+        assert back.draws[3] - back.draws[2] == np.spacing(half)
 
     @pytest.mark.parametrize("field, value", [("n", "1e999"), ("n", "-1e999"), ("seed", "1e999")])
     def test_overflowing_integer_fields_rejected(self, tmp_path, field, value):
@@ -511,12 +553,12 @@ class TestTableCache:
         save_null_table(t, p)
         doc = {
             "magic": "hellcorr-null-table",
-            "format_version": 1,
+            "format_version": 2,
             "n": 12,
             "seed": 34,
             "config": {"cutoffs": [1, 2], "kmax": 5, "lmax": 5, "transform": "beta66"},
             "key": t.key,
-            "draws": t.draws.tolist(),
+            "draws": base64.b64encode(struct.pack("<50d", *t.draws.tolist())).decode("ascii"),
         }
         assert p.read_bytes() == json.dumps(doc).encode()
         streamed = io.StringIO()

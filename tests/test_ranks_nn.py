@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from hellcorr import ranks_nn
@@ -104,6 +105,22 @@ class TestPseudoObservations:
         with pytest.raises(SizeError):
             pseudo_observations(np.array([[0.0, np.inf], [1.0, 2.0]]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*2 * [st.one_of(st.integers(-3, 3).map(float), st.floats(-1e6, 1e6))]),
+            min_size=2,
+            max_size=40,
+        ),
+        st.sampled_from([None, 5]),
+    )
+    def test_tie_warning_equals_unique_oracle(self, rows, jitter_seed):
+        # small integers tie often, wide floats rarely; -0.0 ties with 0.0
+        x = np.array(rows)
+        po = pseudo_observations(x, jitter_seed=jitter_seed)
+        assert po.tie_warning == any(np.unique(x[:, j]).size < len(x) for j in (0, 1))
+        if jitter_seed is None or not po.tie_warning:
+            np.testing.assert_array_equal(po.ranks, column_ranks(x))
 
     def test_batched_ranks_equal_per_sample_ranks(self):
         rng = np.random.default_rng(2)
@@ -334,8 +351,32 @@ class TestBand:
 
         monkeypatch.setattr(ranks_nn, "_reduce", spy)
         self.check(pts)
-        # one scan per row and call, the rows the last tile shares included
-        assert sum(full_rows) == 2 * _band(n)[0].size
+        # one scan per row and call, the rows the last tile shares with the
+        # tile before scanned once
+        assert sum(full_rows) == 2 * n
+
+    @pytest.mark.parametrize("two", [False, True])
+    def test_each_unsettled_row_scanned_once(self, monkeypatch, two):
+        # on the every-row-unsettled input the last tile shares 12 rows with
+        # the tile before (n = 500 is not a multiple of the tile height)
+        n = 500
+        assert _band(n)[0].size == 512
+        i = np.arange(n)
+        pts = np.stack([i / n, (i * (1 + 5**0.5) / 2) % 1.0 * 1e6], axis=1)[None]
+        rows = []
+        squared = ranks_nn._squared
+
+        def spy(xr, xc, yr, yc, out, dy):
+            if out.ndim == 2:  # a whole-set scan, one row of out per point
+                rows.append(len(out))
+            return squared(xr, xc, yr, yc, out, dy)
+
+        monkeypatch.setattr(ranks_nn, "_squared", spy)
+        if two:
+            two_nearest_neighbors(pts)
+        else:
+            nearest_distances(pts)
+        assert sum(rows) == n
 
 
 class TestLeaveOneOut:
