@@ -242,5 +242,5 @@ def estimate_batch(samples, config):
     # blocks of about BATCH_POINTS observations bound the temporaries of a large batch
     step = max(1, BATCH_POINTS // arr.shape[1])
     blocks = (arr[a : a + step] for a in range(0, len(arr), step))
-    parts = [_estimate_core(column_ranks(b), cfg)[1] for b in blocks]
+    parts = [_estimate_core(column_ranks(b)[0], cfg)[1] for b in blocks]
     return eta_from_B(np.concatenate(parts)) if parts else np.empty(0)

@@ -254,7 +254,7 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
     cfg = config if config is not None else EstimateConfig()
     base = estimate(arr, cfg)
     fixed = replace(cfg, cutoffs=base.cutoffs)
-    ranks0 = column_ranks(arr)
+    ranks0 = column_ranks(arr)[0]
 
     def draw0(_, out):
         _beta_copula(ranks0, _streams(seed, "se0", np.arange(b2)), out[0])
@@ -269,7 +269,7 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
         _beta_copula(ranks0, _streams(seed, "outer", b), out[:, 0])
         # the whole block's inner (b, j) grid of substreams, keyed in one call
         inner = _streams(seed, "inner", b[:, None], np.arange(b2))
-        _beta_copula(column_ranks(out[:, :1]), inner, out[:, 1:])
+        _beta_copula(column_ranks(out[:, :1])[0], inner, out[:, 1:])
 
     etas = _replicate_etas(b1, 1 + b2, n, draw, fixed, threads)
     se = np.std(etas[:, 1:], axis=1, ddof=1)

@@ -82,3 +82,16 @@ def beta_copula(ranks, n_out, rng):
     x = rng.beta(rd[:, 0], n + 1 - rd[:, 0])
     y = rng.beta(rd[:, 1], n + 1 - rd[:, 1])
     return np.column_stack((x, y))
+
+
+def stable_ranks(samples):
+    """Ranks 1..n of each column of each (n, 2) sample of (..., n, 2)
+    samples, ties by input order: one stable argsort per column."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[-2]
+    ranks = np.empty(samples.shape, dtype=np.int64)
+    for idx in np.ndindex(samples.shape[:-2]):
+        for j in (0, 1):
+            order = np.argsort(samples[idx][:, j], kind="stable")
+            ranks[idx][order, j] = np.arange(1, n + 1)
+    return ranks

@@ -141,7 +141,7 @@ def test_batched_selection_and_table_corners():
     for n, m in ((5, 9), (40, 6), (300, 3), (5000, 2)):
         samples = rng.normal(size=(m, n, 2))
         samples[:, :, 1] += np.sin(3.0 * samples[:, :, 0])
-        ranks = column_ranks(samples)
+        ranks = column_ranks(samples)[0]
         points = ranks / (n + 1.0)
         for weighted in (False, True):
             if weighted:

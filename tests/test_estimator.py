@@ -216,7 +216,7 @@ class TestEstimate:
 def core_cutoffs(samples, cfg):
     """The cutoffs the shared estimation core uses for each sample of a batch."""
     cfg = cfg if cfg is not None else EstimateConfig()
-    return estimator_module._estimate_core(column_ranks(samples), cfg)[2]
+    return estimator_module._estimate_core(column_ranks(samples)[0], cfg)[2]
 
 
 class TestEstimateBatch:
@@ -242,13 +242,22 @@ class TestEstimateBatch:
                 np.testing.assert_array_equal(np.concatenate(parts), full)
 
     def test_equals_single_estimate(self):
-        # one coefficient table and normalization serve both entry points
+        # one coefficient table and normalization serve both entry points.
+        # In the second batch every other sample is rounded to one decimal
+        # and ties; both entry points rank ties by input order
         rng = np.random.default_rng(42)
         for n in (12, 200, 1500):
             samples = rng.normal(size=(4, n, 2))
+            tied = samples.copy()
+            tied[::2] = np.round(samples[::2], 1)
+            assert [estimate(x).tie_warning for x in tied] == [True, False] * 2
             for cfg in (EstimateConfig(cutoffs=(2, 3)), EstimateConfig(cutoffs=(0, 0), transform="none")):
-                got = estimate_batch(samples, cfg)
-                np.testing.assert_array_equal(got, [estimate(x, cfg).eta for x in samples])
+                for batch in (samples, tied):
+                    got = estimate_batch(batch, cfg)
+                    np.testing.assert_array_equal(got, [estimate(x, cfg).eta for x in batch])
+            for cfg in (EstimateConfig(), EstimateConfig(transform="none")):
+                got = estimate_batch(tied, cfg)
+                np.testing.assert_array_equal(got, [estimate(x, cfg).eta for x in tied])
 
     def test_column_swap_swaps_cutoffs(self):
         rng = np.random.default_rng(43)

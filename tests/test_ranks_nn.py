@@ -23,7 +23,7 @@ from hellcorr.ranks_nn import (
     pseudo_observations,
     two_nearest_neighbors,
 )
-from oracles import b_hat_raw, two_nearest_brute
+from oracles import b_hat_raw, stable_ranks, two_nearest_brute
 
 
 def rand_points(rng, n, style):
@@ -120,15 +120,38 @@ class TestPseudoObservations:
         po = pseudo_observations(x, jitter_seed=jitter_seed)
         assert po.tie_warning == any(np.unique(x[:, j]).size < len(x) for j in (0, 1))
         if jitter_seed is None or not po.tie_warning:
-            np.testing.assert_array_equal(po.ranks, column_ranks(x))
+            np.testing.assert_array_equal(po.ranks, stable_ranks(x))
 
     def test_batched_ranks_equal_per_sample_ranks(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(9, 30, 2))
         x[3, :10] = x[3, 0]  # ties, broken by input order in both
-        ranks = column_ranks(x)
+        x[5] = np.round(x[5], 1)
+        x[7, :, 1] = 2.0  # a constant column
+        ranks, tie = column_ranks(x)
+        np.testing.assert_array_equal(tie, [i in (3, 5, 7) for i in range(9)])
         for i in range(9):
             np.testing.assert_array_equal(ranks[i], pseudo_observations(x[i]).ranks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(2, 30))
+    def test_batch_equals_stable_oracle(self, data, m, n):
+        # each column is wide floats (rarely tied), small integers, +-0.0 and
+        # 1.0, or one value, so a batch mixes tied and tie-free samples
+        values = [
+            st.floats(-1e6, 1e6),
+            st.integers(-3, 3).map(float),
+            st.sampled_from([0.0, -0.0, 1.0]),
+            st.just(1.5),
+        ]
+        column = st.sampled_from(values).flatmap(lambda v: st.lists(v, min_size=n, max_size=n))
+        x = np.array(data.draw(st.lists(column, min_size=2 * m, max_size=2 * m)))
+        x = x.reshape(m, 2, n).swapaxes(1, 2)
+        ranks, tie = column_ranks(x)
+        assert ranks.dtype == np.int64
+        np.testing.assert_array_equal(ranks, stable_ranks(x))
+        unique = [any(np.unique(s[:, j]).size < len(s) for j in (0, 1)) for s in x]
+        np.testing.assert_array_equal(tie, unique)
 
 
 class TestNearestDistances:
