@@ -21,7 +21,7 @@ import numpy as np
 
 from . import reproduce
 from .errors import CapabilityError, ConfigError, DiagnosticsError, HellcorrError, SizeError
-from .estimator import EstimateConfig, estimate, pearson
+from .estimator import _TRANSFORMS, EstimateConfig, estimate, pearson
 from .generators import GeneratorSpec
 from .inference import _check_ci_args, _check_significance_args, bootstrap_ci, significance
 from .version import __version__
@@ -39,18 +39,19 @@ def build_parser():
         sp.add_argument("--n", type=int, default=500, help="sample size for --generator")
         sp.add_argument("--k", type=int, default=None, help="fixed first cutoff")
         sp.add_argument("--l", type=int, default=None, help="fixed second cutoff")
-        sp.add_argument("--kmax", type=int, default=5)
-        sp.add_argument("--lmax", type=int, default=5)
-        sp.add_argument("--transform", choices=("none", "beta66"), default="beta66")
+        sp.add_argument("--kmax", type=int, default=EstimateConfig.kmax)
+        sp.add_argument("--lmax", type=int, default=EstimateConfig.lmax)
+        sp.add_argument("--transform", choices=_TRANSFORMS, default=EstimateConfig.transform)
 
-    def run_flags(sp):
+    def run_flags(sp, threads=True):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
+        if threads:  # estimate runs on one thread, so it takes no --threads
+            sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("estimate", help="point estimate")
     data_flags(sp)
-    run_flags(sp)
+    run_flags(sp, threads=False)
 
     sp = sub.add_parser("pvalue", help="Monte-Carlo significance test")
     data_flags(sp)
@@ -190,7 +191,7 @@ def cmd_pvalue(args):
 
 def cmd_ci(args):
     config = _get_config(args)
-    _check_ci_args(args.b1, args.b2, args.seed, args.threads)
+    _check_ci_args(args.level, args.b1, args.b2, args.seed, args.threads)
     arr, source = _get_sample(args)
     ci = bootstrap_ci(
         arr, level=args.level, b1=args.b1, b2=args.b2, config=config, seed=args.seed,
@@ -238,7 +239,8 @@ def main(argv=None):
         "reproduce": cmd_reproduce,
     }
     try:
-        if args.threads < 1:  # refused before any sample, table or suite is drawn
+        # refused before any sample, table or suite is drawn; estimate takes no --threads
+        if "threads" in args and args.threads < 1:
             raise ConfigError(f"--threads must be an integer of at least 1, got {args.threads}")
         doc = handlers[args.command](args)
     except DiagnosticsError as exc:

@@ -170,11 +170,6 @@ def gen_peano(n, d, seed):
         return rng.random((n, 2))
     cells = rng.integers(0, 3 ** d, n)
     res = rng.random(n)
-    digits = np.empty((d, n), dtype=np.int64)
-    rem = cells
-    for pos in range(d - 1, -1, -1):
-        digits[pos] = rem % 3
-        rem = rem // 3
     x = np.zeros(n)
     y = np.zeros(n)
     even_sum = np.zeros(n, dtype=np.int64)
@@ -182,7 +177,7 @@ def gen_peano(n, d, seed):
     dx = (d + 1) // 2
     dy = d // 2
     for pos in range(1, d + 1):
-        t = digits[pos - 1]
+        t = cells // 3 ** (d - pos) % 3  # the pos-th ternary digit, most significant first
         if pos % 2 == 1:
             a = np.where(even_sum % 2 == 1, 2 - t, t)
             x = x + a * 3.0 ** -((pos + 1) // 2)

@@ -97,13 +97,16 @@ class SignificanceResult:
     table: NullTable = field(repr=False)
 
 
-def _check_ci_args(b1, b2, seed, threads):
-    """``bootstrap_ci``'s counts, seed and threads as checked ints.
+def _check_ci_args(level, b1, b2, seed, threads):
+    """``bootstrap_ci``'s level, counts, seed and threads, checked; all but level as ints.
 
     The CLI's ``ci`` runs these checks too, before it reads the sample.
     """
     b1, b2 = _integer(b1, "b1", 2), _integer(b2, "b2", 2)
-    return b1, b2, _integer(seed, "seed", 0), _integer(threads, "threads", 1)
+    seed, threads = _integer(seed, "seed", 0), _integer(threads, "threads", 1)
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must lie in (0, 1)")
+    return b1, b2, seed, threads
 
 
 def _check_significance_args(m, level, seed, threads):
@@ -244,13 +247,11 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
     reflects estimation noise at the chosen truncation rather than
     selection jitter. The interval is clipped to [0, 1].
     """
-    b1, b2, seed, threads = _check_ci_args(b1, b2, seed, threads)
+    b1, b2, seed, threads = _check_ci_args(level, b1, b2, seed, threads)
     arr = as_sample(sample)
     n = arr.shape[0]
     if n < 4:
         raise SizeError("bootstrap needs n >= 4")
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie in (0, 1)")
     cfg = config if config is not None else EstimateConfig()
     base = estimate(arr, cfg)
     fixed = replace(cfg, cutoffs=base.cutoffs)

@@ -88,9 +88,12 @@ def pseudo_observations(sample, jitter_seed=None):
     """Column ranks scaled by 1/(n+1), in input order.
 
     Ties are ranked stably by input order and flagged via ``tie_warning``.
-    Passing ``jitter_seed`` instead breaks ties by adding deterministic noise
-    of magnitude 1e-10 times the column range before ranking, for data
-    recorded at coarse precision.
+    Passing ``jitter_seed`` instead ranks ties by a seeded row order, for data
+    recorded at coarse precision: each column is shuffled by its own
+    permutation, ranked, and its ranks written back to the original rows. No
+    value is changed, so the ranks depend only on each column's order and the
+    seed, distinct values keep their order, and a sample without ties ranks
+    as it does without the seed.
     """
     arr = as_sample(sample)
     n = arr.shape[0]
@@ -98,11 +101,9 @@ def pseudo_observations(sample, jitter_seed=None):
     if jitter_seed is not None:
         streams = [substream(jitter_seed, "jitter", j) for j in (0, 1)]  # checks the seed, ties or not
         if tie:
-            work = arr.copy()
-            for j, rng in enumerate(streams):
-                spread = np.ptp(work[:, j]) or 1.0
-                work[:, j] += rng.uniform(-1.0, 1.0, n) * 1e-10 * spread
-            ranks = column_ranks(work)[0]
+            perms = np.column_stack([rng.permutation(n) for rng in streams])
+            shuffled = column_ranks(np.take_along_axis(arr, perms, axis=0))[0]
+            np.put_along_axis(ranks, perms, shuffled, axis=0)
     return PseudoObs(points=ranks / (n + 1.0), ranks=ranks, n=n, tie_warning=bool(tie))
 
 

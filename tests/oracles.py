@@ -95,3 +95,30 @@ def stable_ranks(samples):
             order = np.argsort(samples[idx][:, j], kind="stable")
             ranks[idx][order, j] = np.arange(1, n + 1)
     return ranks
+
+
+def peano_two_pass(n, d, rng):
+    """``gen_peano(n, d, rng)`` at finite depth d, with every ternary digit
+    of the cells extracted in a first pass before the digits are accumulated
+    in a second."""
+    cells = rng.integers(0, 3**d, n)
+    res = rng.random(n)
+    digits = np.empty((d, n), dtype=np.int64)
+    rem = cells
+    for pos in range(d - 1, -1, -1):
+        digits[pos] = rem % 3
+        rem = rem // 3
+    x, y = np.zeros(n), np.zeros(n)
+    even_sum = np.zeros(n, dtype=np.int64)
+    odd_sum = np.zeros(n, dtype=np.int64)
+    for pos in range(1, d + 1):
+        t = digits[pos - 1]
+        if pos % 2 == 1:
+            x = x + np.where(even_sum % 2 == 1, 2 - t, t) * 3.0 ** -((pos + 1) // 2)
+            odd_sum = odd_sum + t
+        else:
+            y = y + np.where(odd_sum % 2 == 1, 2 - t, t) * 3.0 ** -(pos // 2)
+            even_sum = even_sum + t
+    x = x + 3.0 ** -((d + 1) // 2) * np.where(even_sum % 2 == 1, 1.0 - res, res)
+    y = y + 3.0 ** -(d // 2) * np.where(odd_sum % 2 == 1, 1.0 - res, res)
+    return np.column_stack((x, y))

@@ -247,6 +247,13 @@ class TestBadInputs:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["pvalue", "ci"])
+    def test_bad_level_refused_before_the_sample_is_read(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run_cli(capsys, command, "--input", missing, "--level", "2")
+        assert code == 2 and out == ""
+        assert err == "error: level must lie in (0, 1)\n"
+
     def test_pvalue_small_m_needs_cache(self, capsys):
         code, _, _ = run_cli(capsys, "pvalue", "--generator", "circle", "--n", "50", "--m", "50")
         assert code == 2
@@ -621,20 +628,26 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["estimate", "--generator", "circle", "--n", "30"],
             ["pvalue", "--generator", "circle", "--n", "30", "--m", "100"],
             ["ci", "--generator", "circle", "--n", "30", "--b1", "10", "--b2", "5"],
             ["reproduce", "table1"],
         ],
-        ids=["estimate", "pvalue", "ci", "reproduce"],
+        ids=["pvalue", "ci", "reproduce"],
     )
     def test_threads_below_one_refused_before_any_work(self, capsys, monkeypatch, argv):
         ran = []
-        for name in ("cmd_estimate", "cmd_pvalue", "cmd_ci", "cmd_reproduce"):
+        for name in ("cmd_pvalue", "cmd_ci", "cmd_reproduce"):
             monkeypatch.setattr(cli, name, ran.append)
         code, out, err = run_cli(capsys, *argv, "--threads", "0")
         assert code == 2 and out == "" and ran == []
         assert err.startswith("error:") and "--threads" in err and "Traceback" not in err
+
+    def test_estimate_takes_no_threads_flag(self, capsys):
+        # a single estimate runs on one thread; the flag is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["estimate", "--generator", "circle", "--n", "12", "--threads", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 7" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -16,6 +16,8 @@ from hellcorr.generators import (
     gen_peano,
     gen_scenario,
 )
+from hellcorr.rng import substream
+from oracles import peano_two_pass
 
 
 def ks_uniform(x):
@@ -85,6 +87,13 @@ class TestPeano:
         seg = np.minimum((x * 3).astype(int), 2)
         expect = np.where(seg == 0, 3 * x, np.where(seg == 1, 2 - 3 * x, 3 * x - 2))
         np.testing.assert_allclose(y, expect, atol=1e-12)
+
+    def test_equals_two_pass_oracle(self):
+        for d in range(1, 9):
+            for seed in range(5):
+                np.testing.assert_array_equal(
+                    gen_peano(1000, d, seed), peano_two_pass(1000, d, substream(seed, "peano"))
+                )
 
     def test_infinite_depth_is_independent(self):
         pts = gen_peano(5000, math.inf, seed=8)

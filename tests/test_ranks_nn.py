@@ -8,6 +8,7 @@ from scipy.stats import rankdata
 
 from hellcorr import ranks_nn
 from hellcorr.cv import select_cutoffs
+from hellcorr.estimator import estimate
 from hellcorr.errors import SizeError
 from hellcorr.generators import gen_gaussian
 from hellcorr.ranks_nn import (
@@ -96,6 +97,46 @@ class TestPseudoObservations:
         np.testing.assert_array_equal(a.ranks, b.ranks)
         assert not np.array_equal(a.ranks[:, 0], c.ranks[:, 0])
         assert len(np.unique(a.ranks[:, 0])) == 30
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=40),
+        st.integers(0, 2**32),
+        st.sampled_from([0, 1]),
+        st.sampled_from(["offset", "exp", "cube"]),
+        st.integers(0, 10**9),
+    )
+    def test_jittered_ranks_invariant_under_increasing_maps(self, rows, seed, j, kind, offset):
+        # quarters, one row repeated so the sample ties; every map is exact or
+        # strictly increasing on them in floating point
+        x = np.array(rows + rows[:1]) / 4.0
+        y = x.copy()
+        y[:, j] = {"offset": x[:, j] + offset, "exp": np.exp(x[:, j]), "cube": x[:, j] ** 3}[kind]
+        np.testing.assert_array_equal(
+            pseudo_observations(y, jitter_seed=seed).ranks, pseudo_observations(x, jitter_seed=seed).ranks
+        )
+
+    def test_jitter_keeps_distinct_values_in_order(self):
+        x = np.column_stack([np.tile([0.0, 1e-12, 1.0], 10), np.arange(30.0)])
+        less = x[:, None, 0] < x[None, :, 0]
+        for seed in range(6):
+            r = pseudo_observations(x, jitter_seed=seed).ranks[:, 0]
+            assert (r[:, None] < r[None, :])[less].all(), f"seed {seed}"
+
+    def test_jitter_breaks_each_columns_ties_on_its_own(self):
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 3, (50, 2)).astype(float)
+        expected = pseudo_observations(x, jitter_seed=4).ranks[:, 0]
+        for other in (rng.integers(0, 5, 50), rng.normal(size=50), np.zeros(50)):
+            y = np.column_stack([x[:, 0], other])
+            np.testing.assert_array_equal(pseudo_observations(y, jitter_seed=4).ranks[:, 0], expected)
+
+    def test_jittered_estimate_ignores_an_offset(self):
+        # the README's 200 independent binary pairs: input order reads 0.948
+        b = np.random.default_rng(0).integers(0, 2, (200, 2)).astype(float)
+        eta = estimate(b, jitter_seed=1).eta
+        assert estimate(b + 1e9, jitter_seed=1).eta == eta
+        assert eta == pytest.approx(0.1223, abs=5e-5)
 
     def test_rejects_tiny_or_misshaped_input(self):
         with pytest.raises(SizeError):
