@@ -239,9 +239,6 @@ def main(argv=None):
         "reproduce": cmd_reproduce,
     }
     try:
-        # refused before any sample, table or suite is drawn; estimate takes no --threads
-        if "threads" in args and args.threads < 1:
-            raise ConfigError(f"--threads must be an integer of at least 1, got {args.threads}")
         doc = handlers[args.command](args)
     except DiagnosticsError as exc:
         print(f"error: {exc}", file=sys.stderr)

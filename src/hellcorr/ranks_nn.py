@@ -10,8 +10,14 @@ the package that loads scipy, so inputs below the cutoff never import it.
 
 The banded scan sorts each set by x and compares each tile of _BAND_ROWS
 consecutive x-ranks only with the columns up to _BAND_REACH ranks to either
-side of it, for every set of a batch in one numpy call per chunk. Its squared
-distances are those of a full scan, dx * dx + dy * dy of the same operands.
+side of it, for every set of a batch in one numpy call per chunk. Its
+squared distances are those of a full scan, dx * dx + dy * dy of the same
+operands. The estimator hands the scan (and the tree) each set's rows in
+x-rank order, so every set's x column is one row, the coordinates of the
+ranks 1..n. The scan sees that in its input, every x column ascending and
+equal to the first: it takes its x-order from it instead of sorting, and
+builds the band's squared x-gaps and each row's settle gap once per call from
+that row. Any other input is sorted, and its x work is done per set.
 Rounding is monotone, so no column past a row's band lies nearer than the
 x-gap to the first column outside it; a row whose band bound is below that
 gap squared is settled, and every other row scans its whole set. The bound is
@@ -55,6 +61,11 @@ _BAND_CELLS = 1 << 16
 # a whole-set scan (at 16/48 at most 2.1% at n = 500 and 5.9% at n = 1023).
 _BAND_ROWS = 16
 _BAND_REACH = 48
+# the smallest n the band sorts and tiles. Below it the band would keep more
+# than two thirds of the n * n cells, which saves little or less than its sort
+# costs (banded, n = 113 took 1.13-1.25x and n = 130 0.97-1.09x the full
+# scan's time), so one unsorted tile spans each set
+BAND_MIN_N = (3 * (_BAND_ROWS + 2 * _BAND_REACH) + 1) // 2
 
 
 def as_sample(x):
@@ -146,13 +157,10 @@ def _band(n):
     """Tiles of the band over an x-sorted n-point set: the rows (T, B) and
     columns (T, C) of each tile, the flat position of each row's own column
     in a set's (T, B, C) distances, and each tile's first column outside the
-    band below and above it, -1 where there is none. A band that would keep
-    more than two thirds of the n * n cells saves little or less than its
-    sort costs (banded, n = 113 took 1.13-1.25x and n = 130 0.97-1.09x the
-    full scan's time), so there one unsorted tile spans the set, the full
-    scan, and below is None."""
+    band below and above it, -1 where there is none. Below BAND_MIN_N one
+    unsorted tile spans the set, the full scan, and below is None."""
     width = _BAND_ROWS + 2 * _BAND_REACH
-    if 3 * width > 2 * n:
+    if n < BAND_MIN_N:
         r = np.arange(n)[None]
         return r, r, r[0] * (n + 1), None, None
     row0 = np.minimum(np.arange(0, n, _BAND_ROWS), n - _BAND_ROWS)
@@ -163,14 +171,26 @@ def _band(n):
     return r, col0[:, None] + np.arange(width), own, col0 - 1, above
 
 
-def _squared(xr, xc, yr, yc, out, dy):
-    """dx * dx + dy * dy of rows (xr, yr) against columns (xc, yc), into out;
-    every squared distance of the scan comes from here. Spends dy."""
+def _in_rank_frame(x):
+    """Whether the x columns (m, n) of a batch are one ascending row, as in
+    sets whose rows are in x-rank order: an O(n) and an O(m * n) comparison."""
+    return bool((x[0, 1:] >= x[0, :-1]).all() and (x == x[0]).all())
+
+
+def _x_squared(xr, xc, out):
+    """(xr - xc) squared, into out: the x part of a squared distance."""
     np.subtract(xr, xc, out=out)
     out *= out
-    np.subtract(yr, yc, out=dy)
-    dy *= dy
-    out += dy
+    return out
+
+
+def _squared(dx2, yr, yc, out):
+    """dx2 + dy * dy of rows yr against columns yc, into out; every squared
+    distance of the scan comes from here. dx2, the squared x-gaps from
+    ``_x_squared`` with inf at each row's own column, broadcasts against out."""
+    np.subtract(yr, yc, out=out)
+    out *= out
+    out += dx2
     return out
 
 
@@ -194,22 +214,28 @@ def _nearest_squared(sets, two):
     m, n, _ = sets.shape
     r, c, own, below, above = _band(n)
     x, y = sets[..., 0], sets[..., 1]
-    if below is None:
+    # a batch in the rank frame is sorted already and shares its x row, so
+    # the x work below runs on that one row (xs) and once per call
+    frame = below is not None and _in_rank_frame(x)
+    order = None
+    if below is None or frame:
         x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
     else:
         # not stable: the order of equal x changes no distance, at most which
         # of two equidistant neighbours the index names (4x faster at n = 500)
         order = np.argsort(x, axis=1)
         x, y = (np.take_along_axis(v, order, axis=1) for v in (x, y))
+    xs = x[:1] if frame else x
+    if below is not None:
         # squared x-gap from each row to the first column outside its tile's
         # band on either side: fl is monotone, so no column past it is nearer
-        xr = x.take(r, axis=1)
-        lo = x.take(below, axis=1)[..., None]
+        xr = xs.take(r, axis=1)
+        lo = xs.take(below, axis=1)[..., None]
         lo[:, below < 0] = -np.inf
-        hi = x.take(above, axis=1)[..., None]
+        hi = xs.take(above, axis=1)[..., None]
         hi[:, above < 0] = np.inf
         gap = np.minimum((xr - lo) ** 2, (hi - xr) ** 2)
-        settled = np.empty(gap.shape, dtype=bool)
+        settled = np.empty((m, *r.shape), dtype=bool)
     idx1 = np.empty((m, n), dtype=np.intp) if two else None
     d = np.empty((1 + two, m, n))
     cells = own.size * c.shape[1]
@@ -221,17 +247,17 @@ def _nearest_squared(sets, two):
     buf = raw[skip : skip + 2 * step * cells].reshape(2, step, *r.shape, c.shape[1])
     for a in range(0, m, step):
         k = min(step, m - a)
-        xa, ya = x[a : a + k], y[a : a + k]
+        xa, ya = xs[a : a + k], y[a : a + k]
         if below is None:  # one tile: its rows and columns are the set
             xr_a = xc_a = xa[:, None]
             yr_a = yc_a = ya[:, None]
         else:
             xr_a, xc_a = xr[a : a + k], xa.take(c, axis=1)
             yr_a, yc_a = ya.take(r, axis=1), ya.take(c, axis=1)
-        d2 = _squared(
-            xr_a[..., None], xc_a[:, :, None, :], yr_a[..., None], yc_a[:, :, None, :], *buf[:, :k]
-        )
-        d2.reshape(k, -1)[:, own] = np.inf
+        if a == 0 or not frame:  # in the frame the first chunk's x-gaps serve every chunk
+            dx2 = _x_squared(xr_a[..., None], xc_a[:, :, None, :], buf[1, : len(xa)])
+            dx2.reshape(len(xa), -1)[:, own] = np.inf
+        d2 = _squared(dx2, yr_a[..., None], yc_a[:, :, None, :], buf[0, :k])
         pos, first, second = _reduce(d2, two)
         rows = np.s_[a : a + k, None] if below is None else np.s_[a : a + k, r]
         d[0][rows] = first
@@ -240,7 +266,8 @@ def _nearest_squared(sets, two):
             idx1[rows] = pos + c[:, :1]
         if below is not None:
             # settled: the gap exceeds the band's bound on the row's answer
-            np.greater(gap[a : a + k], second if two else first, out=settled[a : a + k])
+            gap_a = gap if frame else gap[a : a + k]
+            np.greater(gap_a, second if two else first, out=settled[a : a + k])
     if below is None:
         return idx1, d
     # every row the band did not settle scans its whole set, once. The last
@@ -256,11 +283,14 @@ def _nearest_squared(sets, two):
     per = _BAND_CELLS // n
     for b in range(0, len(p_all), per):
         s, p = s_all[b : b + per], p_all[b : b + per]
-        sq = _squared(x[s, p][:, None], x[s], y[s, p][:, None], y[s], *np.empty((2, len(p), n)))
-        sq[np.arange(len(p)), p] = np.inf
+        sq, dx2 = np.empty((2, len(p), n))
+        _x_squared(x[s, p][:, None], x[s], dx2)[np.arange(len(p)), p] = np.inf
+        _squared(dx2, y[s, p][:, None], y[s], sq)
         pos, d[0, s, p], second = _reduce(sq, two)
         if two:
             d[1, s, p], idx1[s, p] = second, pos
+    if order is None:
+        return idx1, d
     # back to input order
     out = np.empty_like(d)
     np.put_along_axis(out, order[None], d, axis=2)

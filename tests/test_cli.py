@@ -545,7 +545,7 @@ class TestCiCommand:
         )
         assert code == 2
         assert out == ""
-        assert "threads must be an integer of at least 1" in err and "Traceback" not in err
+        assert "threads must be a positive integer" in err and "Traceback" not in err
 
 
     @pytest.mark.filterwarnings("ignore:dropped 3 of 20")
@@ -635,12 +635,20 @@ class TestExitCodes:
         ids=["pvalue", "ci", "reproduce"],
     )
     def test_threads_below_one_refused_before_any_work(self, capsys, monkeypatch, argv):
+        # each command refuses the value itself: no sample is read or drawn
+        # and no suite runs
         ran = []
-        for name in ("cmd_pvalue", "cmd_ci", "cmd_reproduce"):
-            monkeypatch.setattr(cli, name, ran.append)
+
+        def reached(*args, **kwargs):
+            ran.append(args)
+            raise AssertionError("reached work before refusing --threads")
+
+        monkeypatch.setattr(cli, "_get_sample", reached)
+        for suite in reproduce.SUITES:
+            monkeypatch.setitem(reproduce.SUITES, suite, reached)
         code, out, err = run_cli(capsys, *argv, "--threads", "0")
         assert code == 2 and out == "" and ran == []
-        assert err.startswith("error:") and "--threads" in err and "Traceback" not in err
+        assert err == "error: threads must be a positive integer, got 0\n"
 
     def test_estimate_takes_no_threads_flag(self, capsys):
         # a single estimate runs on one thread; the flag is refused, not ignored

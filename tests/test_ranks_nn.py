@@ -8,7 +8,7 @@ from scipy.stats import rankdata
 
 from hellcorr import ranks_nn
 from hellcorr.cv import select_cutoffs
-from hellcorr.estimator import estimate
+from hellcorr.estimator import _nearest, _rank_coordinates, estimate
 from hellcorr.errors import SizeError
 from hellcorr.generators import gen_gaussian
 from hellcorr.ranks_nn import (
@@ -430,10 +430,10 @@ class TestBand:
         rows = []
         squared = ranks_nn._squared
 
-        def spy(xr, xc, yr, yc, out, dy):
+        def spy(dx2, yr, yc, out):
             if out.ndim == 2:  # a whole-set scan, one row of out per point
                 rows.append(len(out))
-            return squared(xr, xc, yr, yc, out, dy)
+            return squared(dx2, yr, yc, out)
 
         monkeypatch.setattr(ranks_nn, "_squared", spy)
         if two:
@@ -441,6 +441,76 @@ class TestBand:
         else:
             nearest_distances(pts)
         assert sum(rows) == n
+
+
+def frame_spy(monkeypatch):
+    """Record what each banded scan's frame check returns."""
+    seen = []
+    check = ranks_nn._in_rank_frame
+
+    def spy(x):
+        seen.append(check(x))
+        return seen[-1]
+
+    monkeypatch.setattr(ranks_nn, "_in_rank_frame", spy)
+    return seen
+
+
+class TestRankFrame:
+    """The estimator's sets in x-rank order against the same points in input
+    order and the brute oracle: from BAND_MIN_N up the scan reads the frame
+    off its input and skips its sort and its per-set x work."""
+
+    @pytest.mark.parametrize(
+        "n, transform",
+        [(167, "beta66"), (168, "beta66"), (169, "beta66"), (500, "beta66"), (1023, "beta66"),
+         (255, "none"), (511, "none")],
+    )
+    def test_frame_equals_points_and_brute(self, monkeypatch, n, transform):
+        # each batch crosses two chunk boundaries; every other sample is
+        # rounded to one decimal, so its ties are ranked by input order. At
+        # n + 1 = 2**k the "none" rank points are dyadic and tie equidistantly
+        rng = np.random.default_rng(n)
+        m = 2 * chunk_sets(n) + 1
+        samples = np.stack([gen_gaussian(n, rho, seed=rng) for rho in np.linspace(0.0, 0.95, m)])
+        samples[::2] = np.round(samples[::2], 1)
+        ranks, tie = column_ranks(samples)
+        assert tie[::2].all()
+        coord, _ = _rank_coordinates(ranks, transform)
+        pts = coord[ranks - 1]
+        seen = frame_spy(monkeypatch)
+        got, got_first = _nearest(ranks, coord, True), _nearest(ranks, coord, False)
+        ref = two_nearest_neighbors(pts)
+        np.testing.assert_array_equal(got_first, nearest_distances(pts))
+        np.testing.assert_array_equal(got.values, ref.values)
+        np.testing.assert_array_equal(got.values, got_first)
+        np.testing.assert_array_equal(got.second, ref.second)
+        clear = ref.values < ref.second
+        assert transform == "beta66" or not clear.all()
+        np.testing.assert_array_equal(got.index[clear], ref.index[clear])
+        for i in range(m):
+            assert_matches_brute(pts[i], got.index[i], got.values[i], got.second[i])
+        # the frame's two scans, then the point route's two
+        assert seen == ([] if n < ranks_nn.BAND_MIN_N else [True, True, False, False])
+
+    def test_other_batches_take_the_per_set_route(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        n = 300
+        ascending = np.stack([np.sort(rng.random(n)), rng.random(n)], axis=-1)
+        shifted = ascending.copy()
+        shifted[:, 0] += 0.25  # ascending too, but not the other's x column
+        frame = np.stack([ascending, ascending.copy(), ascending.copy()])
+        frame[1:, :, 1] = rng.random((2, n))
+        unsorted = frame.copy()
+        unsorted[2] = unsorted[2, rng.permutation(n)]
+        seen = frame_spy(monkeypatch)
+        # unequal x columns, one set unsorted, one x column shared but descending
+        for pts in (np.stack([ascending, shifted]), unsorted, frame[:, ::-1], frame):
+            nn = two_nearest_neighbors(pts)
+            np.testing.assert_array_equal(nearest_distances(pts), nn.values)
+            for i in range(len(pts)):
+                assert_matches_brute(pts[i], nn.index[i], nn.values[i], nn.second[i])
+        assert seen == [False] * 6 + [True] * 2
 
 
 class TestLeaveOneOut:
