@@ -23,8 +23,8 @@ from .basis import BATCH_POINTS, MAX_DEGREE, design_matrix, tensor_sums
 from .cv import CvResult, select_cutoffs
 from .errors import ConfigError, DegenerateDataError, DomainError, _integer
 from .ranks_nn import (
-    BAND_MIN_N, TwoNearest, as_sample, as_samples, column_ranks, nearest_distances,
-    pseudo_observations, two_nearest_neighbors,
+    TwoNearest, as_sample, as_samples, column_ranks, nearest_distances, pseudo_observations,
+    two_nearest_neighbors,
 )
 from .transform import beta66_pdf, beta66_quantile
 
@@ -177,27 +177,23 @@ def _nearest(ranks, coord, two):
     """Nearest-neighbour distances of the points coord[ranks - 1] of m sets,
     in input order: a ``TwoNearest`` if two, else the first distances.
 
-    From ``BAND_MIN_N`` up each set goes to the scan in its rank frame, its
-    rows in x-rank order (the inverse of its x-ranks), where every set's x
-    column is coord: the band then sorts nothing and does its x work once,
-    and the tree gets x-sorted points. Results come back through the order.
+    Each set goes to the scan in its rank frame, its rows in x-rank order
+    (the inverse of its x-ranks), where its x coordinates are coord, the one
+    row every set shares. Results come back through the order.
     """
     m, n, _ = ranks.shape
-    scan = two_nearest_neighbors if two else nearest_distances
-    if n < BAND_MIN_N:
-        return scan(coord[ranks - 1])
     # flat indices over the batch: a flat take of one n = 500 set took 1.5 us
     # against 9.5 us for take_along_axis (2-core VM)
     off = np.arange(0, m * n, n)[:, None]
     at = ranks[..., 0] - 1 + off  # each row's place in the batch's frame
+    y = np.empty(m * n)
+    y[at] = coord[ranks[..., 1] - 1]  # each row's y at its place
+    y = y.reshape(m, n)
+    if not two:
+        return nearest_distances(coord, y).take(at)
     row = np.empty(m * n, dtype=np.intp)
     row[at.ravel()] = np.arange(m * n)  # the row at each place
-    frame = np.empty((m, n, 2))
-    frame[..., 0] = coord
-    frame[..., 1] = coord[ranks.reshape(-1, 2)[row, 1] - 1].reshape(m, n)
-    nn = scan(frame)
-    if not two:
-        return nn.take(at)
+    nn = two_nearest_neighbors(coord, y)
     return TwoNearest(row[nn.index.take(at) + off] - off, nn.values.take(at), nn.second.take(at))
 
 

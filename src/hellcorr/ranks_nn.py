@@ -8,26 +8,23 @@ distances come from a banded scan below n = 1024 and from a k-d tree
 pin both to a brute-force oracle bit for bit. The tree is the only stage of
 the package that loads scipy, so inputs below the cutoff never import it.
 
-The banded scan sorts each set by x and compares each tile of _BAND_ROWS
-consecutive x-ranks only with the columns up to _BAND_REACH ranks to either
-side of it, for every set of a batch in one numpy call per chunk. Its
-squared distances are those of a full scan, dx * dx + dy * dy of the same
-operands. The estimator hands the scan (and the tree) each set's rows in
-x-rank order, so every set's x column is one row, the coordinates of the
-ranks 1..n. The scan sees that in its input, every x column ascending and
-equal to the first: it takes its x-order from it instead of sorting, and
-builds the band's squared x-gaps and each row's settle gap once per call from
-that row. Any other input is sorted, and its x work is done per set.
-Rounding is monotone, so no column past a row's band lies nearer than the
-x-gap to the first column outside it; a row whose band bound is below that
-gap squared is settled, and every other row scans its whole set. The bound is
-the band's first distance for ``nearest_distances``, which is all fixed
-cutoffs need, and its second for ``two_nearest_neighbors``, which keeps the
-first's index and both distances for cross-validation. A small set, where
-the band would keep most of the n * n cells, is scanned whole and unsorted.
-Where a point's two nearest neighbours are equidistant the paths may name
-different neighbours; the cross-validation term that reads the index is then
-multiplied by second - first = 0.
+Both take every set in its rank frame: one non-decreasing row x of n
+coordinates that every set shares, the coordinates of the ranks 1..n, and
+each set's y coordinates in x-rank order. The banded scan compares each tile
+of _BAND_ROWS consecutive x-ranks only with the columns up to _BAND_REACH
+ranks to either side of it, for every set of a batch in one numpy call per
+chunk; the squared x-gaps of every tile and each row's settle gap come from
+x once per call. Its squared distances are those of a full scan,
+dx * dx + dy * dy of the same operands. Rounding is monotone, so no column
+past a row's band lies nearer than the x-gap to the first column outside it;
+a row whose band bound is below that gap squared is settled, and every other
+row scans its whole set. The bound is the band's first distance for
+``nearest_distances``, which is all fixed cutoffs need, and its second for
+``two_nearest_neighbors``, which keeps the first's index and both distances
+for cross-validation. A small set, where the band would keep most of the
+n * n cells, is scanned whole. Where a point's two nearest neighbours are
+equidistant the paths may name different neighbours; the cross-validation
+term that reads the index is then multiplied by second - first = 0.
 """
 
 from dataclasses import dataclass
@@ -61,11 +58,11 @@ _BAND_CELLS = 1 << 16
 # a whole-set scan (at 16/48 at most 2.1% at n = 500 and 5.9% at n = 1023).
 _BAND_ROWS = 16
 _BAND_REACH = 48
-# the smallest n the band sorts and tiles. Below it the band would keep more
-# than two thirds of the n * n cells, which saves little or less than its sort
-# costs (banded, n = 113 took 1.13-1.25x and n = 130 0.97-1.09x the full
-# scan's time), so one unsorted tile spans each set
-BAND_MIN_N = (3 * (_BAND_ROWS + 2 * _BAND_REACH) + 1) // 2
+# the smallest n the band tiles. Below it the band would keep more than two
+# thirds of the n * n cells, which saves little or nothing (banded with a sort
+# per set, n = 113 took 1.13-1.25x and n = 130 0.97-1.09x the full scan's
+# time), so one tile spans each set
+_BAND_MIN_N = (3 * (_BAND_ROWS + 2 * _BAND_REACH) + 1) // 2
 
 
 def as_sample(x):
@@ -144,7 +141,8 @@ class TwoNearest:
 
     ``second[i]`` is the nearest-neighbour distance of point i once ``index[i]``
     is removed, which is all the leave-one-out bookkeeping the cross-validation
-    criterion needs. A batch axis of the points leads every field.
+    criterion needs. Each field has the shape of the scan's y: point i of a set
+    is (x[i], y[..., i]), and a batch axis leads.
     """
 
     index: np.ndarray
@@ -154,13 +152,13 @@ class TwoNearest:
 
 @lru_cache(maxsize=8)
 def _band(n):
-    """Tiles of the band over an x-sorted n-point set: the rows (T, B) and
+    """Tiles of the band over n points in x order: the rows (T, B) and
     columns (T, C) of each tile, the flat position of each row's own column
-    in a set's (T, B, C) distances, and each tile's first column outside the
-    band below and above it, -1 where there is none. Below BAND_MIN_N one
-    unsorted tile spans the set, the full scan, and below is None."""
+    in the (T, B, C) distances of a set, and each tile's first column outside
+    the band below and above it, -1 where there is none. Below _BAND_MIN_N
+    one tile spans the set, the full scan, and below is None."""
     width = _BAND_ROWS + 2 * _BAND_REACH
-    if n < BAND_MIN_N:
+    if n < _BAND_MIN_N:
         r = np.arange(n)[None]
         return r, r, r[0] * (n + 1), None, None
     row0 = np.minimum(np.arange(0, n, _BAND_ROWS), n - _BAND_ROWS)
@@ -169,12 +167,6 @@ def _band(n):
     own = np.arange(r.size) * width + (r - col0[:, None]).ravel()
     above = np.where(col0 + width < n, col0 + width, -1)
     return r, col0[:, None] + np.arange(width), own, col0 - 1, above
-
-
-def _in_rank_frame(x):
-    """Whether the x columns (m, n) of a batch are one ascending row, as in
-    sets whose rows are in x-rank order: an O(n) and an O(m * n) comparison."""
-    return bool((x[0, 1:] >= x[0, :-1]).all() and (x == x[0]).all())
 
 
 def _x_squared(xr, xc, out):
@@ -207,67 +199,49 @@ def _reduce(sq, two):
     return (v.reshape(sq.shape[:-1]) for v in (at[1], first, flat.min(axis=1)))
 
 
-def _nearest_squared(sets, two):
-    """The banded scan of (m, n, 2) sets: each point's nearest neighbour's
-    index (None unless two) and its squared first and, if two, second
-    nearest-neighbour distance, stacked (1 + two, m, n)."""
-    m, n, _ = sets.shape
+def _nearest_squared(x, y, two):
+    """The banded scan of the m sets of points (x[i], y[s, i]), x (n,) and
+    y (m, n): each point's nearest neighbour's index (None unless two) and its
+    squared first and, if two, second nearest-neighbour distance, stacked
+    (1 + two, m, n). The x work runs once per call; each chunk works on y."""
+    m, n = y.shape
     r, c, own, below, above = _band(n)
-    x, y = sets[..., 0], sets[..., 1]
-    # a batch in the rank frame is sorted already and shares its x row, so
-    # the x work below runs on that one row (xs) and once per call
-    frame = below is not None and _in_rank_frame(x)
-    order = None
-    if below is None or frame:
-        x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-    else:
-        # not stable: the order of equal x changes no distance, at most which
-        # of two equidistant neighbours the index names (4x faster at n = 500)
-        order = np.argsort(x, axis=1)
-        x, y = (np.take_along_axis(v, order, axis=1) for v in (x, y))
-    xs = x[:1] if frame else x
+    cells = own.size * c.shape[1]
+    step = max(1, min(m, (_BRUTE_CELLS if below is None else _BAND_CELLS) // cells))
+    # start the tiles on a 64-byte boundary: at n = 500 an estimate ran about
+    # 10% slower with them 16, 32 or 48 bytes past one, wherever malloc put
+    # them. The x-gaps added to every tile follow in the same buffer, on a
+    # boundary of their own
+    lead = -(-step * cells // 8) * 8
+    raw = np.empty(lead + cells + 8)
+    skip = (-raw.ctypes.data % 64) // 8
+    tiles = raw[skip : skip + step * cells].reshape(step, *r.shape, c.shape[1])
+    xr = x.take(r)
+    dx2 = raw[skip + lead : skip + lead + cells].reshape(tiles.shape[1:])
+    _x_squared(xr[..., None], x.take(c)[:, None], dx2)
+    dx2.reshape(-1)[own] = np.inf
     if below is not None:
         # squared x-gap from each row to the first column outside its tile's
         # band on either side: fl is monotone, so no column past it is nearer
-        xr = xs.take(r, axis=1)
-        lo = xs.take(below, axis=1)[..., None]
-        lo[:, below < 0] = -np.inf
-        hi = xs.take(above, axis=1)[..., None]
-        hi[:, above < 0] = np.inf
+        lo = np.where(below < 0, -np.inf, x.take(below))[:, None]
+        hi = np.where(above < 0, np.inf, x.take(above))[:, None]
         gap = np.minimum((xr - lo) ** 2, (hi - xr) ** 2)
         settled = np.empty((m, *r.shape), dtype=bool)
     idx1 = np.empty((m, n), dtype=np.intp) if two else None
     d = np.empty((1 + two, m, n))
-    cells = own.size * c.shape[1]
-    step = max(1, min(m, (_BRUTE_CELLS if below is None else _BAND_CELLS) // cells))
-    # start the tile buffer on a 64-byte boundary: at n = 500 an estimate ran
-    # about 10% slower with it 16, 32 or 48 bytes past one, wherever malloc put it
-    raw = np.empty(2 * step * cells + 8)
-    skip = (-raw.ctypes.data % 64) // 8
-    buf = raw[skip : skip + 2 * step * cells].reshape(2, step, *r.shape, c.shape[1])
     for a in range(0, m, step):
         k = min(step, m - a)
-        xa, ya = xs[a : a + k], y[a : a + k]
-        if below is None:  # one tile: its rows and columns are the set
-            xr_a = xc_a = xa[:, None]
-            yr_a = yc_a = ya[:, None]
-        else:
-            xr_a, xc_a = xr[a : a + k], xa.take(c, axis=1)
-            yr_a, yc_a = ya.take(r, axis=1), ya.take(c, axis=1)
-        if a == 0 or not frame:  # in the frame the first chunk's x-gaps serve every chunk
-            dx2 = _x_squared(xr_a[..., None], xc_a[:, :, None, :], buf[1, : len(xa)])
-            dx2.reshape(len(xa), -1)[:, own] = np.inf
-        d2 = _squared(dx2, yr_a[..., None], yc_a[:, :, None, :], buf[0, :k])
+        ya = y[a : a + k]
+        yr, yc = ya.take(r, axis=1)[..., None], ya.take(c, axis=1)[:, :, None, :]
+        d2 = _squared(dx2, yr, yc, tiles[:k])
         pos, first, second = _reduce(d2, two)
-        rows = np.s_[a : a + k, None] if below is None else np.s_[a : a + k, r]
-        d[0][rows] = first
+        d[0][a : a + k, r] = first
         if two:
-            d[1][rows] = second
-            idx1[rows] = pos + c[:, :1]
+            d[1][a : a + k, r] = second
+            idx1[a : a + k, r] = pos + c[:, :1]
         if below is not None:
             # settled: the gap exceeds the band's bound on the row's answer
-            gap_a = gap if frame else gap[a : a + k]
-            np.greater(gap_a, second if two else first, out=settled[a : a + k])
+            np.greater(gap, second if two else first, out=settled[a : a + k])
     if below is None:
         return idx1, d
     # every row the band did not settle scans its whole set, once. The last
@@ -283,22 +257,13 @@ def _nearest_squared(sets, two):
     per = _BAND_CELLS // n
     for b in range(0, len(p_all), per):
         s, p = s_all[b : b + per], p_all[b : b + per]
-        sq, dx2 = np.empty((2, len(p), n))
-        _x_squared(x[s, p][:, None], x[s], dx2)[np.arange(len(p)), p] = np.inf
-        _squared(dx2, y[s, p][:, None], y[s], sq)
+        sq, gx2 = np.empty((2, len(p), n))
+        _x_squared(x[p][:, None], x, gx2)[np.arange(len(p)), p] = np.inf
+        _squared(gx2, y[s, p][:, None], y[s], sq)
         pos, d[0, s, p], second = _reduce(sq, two)
         if two:
             d[1, s, p], idx1[s, p] = second, pos
-    if order is None:
-        return idx1, d
-    # back to input order
-    out = np.empty_like(d)
-    np.put_along_axis(out, order[None], d, axis=2)
-    if two:
-        idx = np.empty_like(idx1)
-        np.put_along_axis(idx, order, np.take_along_axis(order, idx1, axis=1), axis=1)
-        idx1 = idx
-    return idx1, out
+    return idx1, d
 
 
 def _two_nearest_tree(pts):
@@ -315,29 +280,42 @@ def _two_nearest_tree(pts):
     return idx[keep].reshape(n, 2)[:, 0], d[:, 0], d[:, 1]
 
 
-def two_nearest_neighbors(points):
-    """Exact first and second nearest-neighbour distances of (n, 2) or (m, n, 2) points."""
-    pts = np.asarray(points, dtype=float)
-    sets = as_samples(pts if pts.ndim == 3 else pts[None])
-    n = sets.shape[1]
-    if n >= _TREE_MIN_N:
-        idx1 = np.empty((len(sets), n), dtype=np.intp)
-        d1, d2 = np.empty((2, len(sets), n))
-        for s, p in enumerate(sets):
-            idx1[s], d1[s], d2[s] = _two_nearest_tree(p)
+def _scan_input(x, y):
+    """Validate the shared x row and the y of one set (n,) or a batch (m, n);
+    return x and y as float arrays, y with a batch axis."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.ndim not in (1, 2) or y.shape[-1] != x.size:
+        raise SizeError("expected one x row of n coordinates and y of shape (n,) or (m, n)")
+    if x.size < 2:
+        raise SizeError("need at least 2 points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise SizeError("coordinates must be finite")
+    if not (x[1:] >= x[:-1]).all():
+        raise SizeError("x must be non-decreasing: each set in x order")
+    return x, np.ascontiguousarray(y).reshape(-1, x.size)
+
+
+def two_nearest_neighbors(x, y):
+    """Exact first and second nearest-neighbour distances of the points
+    (x[i], y[..., i]): one non-decreasing x row of n coordinates that every
+    set shares, and y of one set (n,) or a batch of sets (m, n)."""
+    xs, ys = _scan_input(x, y)
+    if xs.size >= _TREE_MIN_N:
+        idx1 = np.empty(ys.shape, dtype=np.intp)
+        d1, d2 = np.empty((2, *ys.shape))
+        for s, y_s in enumerate(ys):
+            idx1[s], d1[s], d2[s] = _two_nearest_tree(np.column_stack([xs, y_s]))
     else:
-        idx1, sq = _nearest_squared(sets, True)
+        idx1, sq = _nearest_squared(xs, ys, True)
         d1, d2 = np.sqrt(sq)
-    return TwoNearest(*(a.reshape(pts.shape[:-1]) for a in (idx1, d1, d2)))
+    return TwoNearest(*(a.reshape(np.shape(y)) for a in (idx1, d1, d2)))
 
 
-def nearest_distances(points):
-    """Exact nearest-neighbour distances for a batch of same-size point sets.
-
-    points is (m, n, 2); the (m, n) result equals
-    ``two_nearest_neighbors(points).values`` bit for bit.
+def nearest_distances(x, y):
+    """Exact nearest-neighbour distances of the points (x[i], y[..., i]), in
+    the shape of y; they equal ``two_nearest_neighbors(x, y).values`` bit for bit.
     """
-    pts = as_samples(points)
-    if pts.shape[1] >= _TREE_MIN_N:
-        return two_nearest_neighbors(pts).values
-    return np.sqrt(_nearest_squared(pts, False)[1][0])
+    xs, ys = _scan_input(x, y)
+    if xs.size >= _TREE_MIN_N:
+        return two_nearest_neighbors(xs, y).values
+    return np.sqrt(_nearest_squared(xs, ys, False)[1][0]).reshape(np.shape(y))

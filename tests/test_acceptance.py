@@ -34,11 +34,11 @@ from hellcorr.ranks_nn import (
     TwoNearest,
     _two_nearest_tree,
     pseudo_observations,
-    two_nearest_neighbors,
 )
 from hellcorr.reproduce import suite_figures, suite_table1
 from hellcorr.rng import substream
 from oracles import transform_points, two_nearest_brute
+from points_nn import nn_of_points
 
 
 def report(capsys, num, ok, detail):
@@ -174,7 +174,7 @@ def test_07_fast_paths_equal_reference(capsys):
 
     po = pseudo_observations(rng.normal(size=(80, 2)))
     tp = transform_points(po.points)
-    nn = two_nearest_neighbors(tp.points)
+    nn = nn_of_points(tp.points)
     res = select_cutoffs(po.points, nn, 4, 4, weights=tp.weights)
     worst_cv = max(
         abs(res.scores[K, L] - select_cutoffs(po.points, nn, K, L, weights=tp.weights).scores[K, L])
@@ -186,7 +186,7 @@ def test_07_fast_paths_equal_reference(capsys):
     # is removed: the identity the cross-validation shortcut relies on
     pts2 = rng.random((70, 2))
     worst_loo = 0.0
-    for nn in (two_nearest_neighbors(pts2), TwoNearest(*_two_nearest_tree(pts2))):
+    for nn in (nn_of_points(pts2), TwoNearest(*_two_nearest_tree(pts2))):
         for i in range(70):
             j = nn.index[i]
             _, b1, _ = two_nearest_brute(np.delete(pts2, j, axis=0))

@@ -9,8 +9,9 @@ from hellcorr.cv import _corner_sums, admissible, select_cutoffs
 from hellcorr.errors import ConfigError, SizeError
 from hellcorr.estimator import beta_hat_table
 from hellcorr.generators import gen_gaussian
-from hellcorr.ranks_nn import column_ranks, pseudo_observations, two_nearest_neighbors
+from hellcorr.ranks_nn import column_ranks, pseudo_observations
 from oracles import corner_sums, transform_points, two_nearest_brute
+from points_nn import nn_of_points
 
 
 def loo_nn_distances(points, excluded):
@@ -65,7 +66,7 @@ def test_score_matches_leave_one_out_oracle(weighted):
         pts, w = tp.points, tp.weights
     else:
         pts, w = po.points, None
-    nn = two_nearest_neighbors(pts)
+    nn = nn_of_points(pts)
     for K, L in [(0, 2), (1, 1), (3, 2), (3, 3)]:
         fast = select_cutoffs(po.points, nn, K, L, weights=w).scores[K, L]
         slow = naive_score(po.points, pts, nn, K, L, weights=w)
@@ -75,7 +76,7 @@ def test_score_matches_leave_one_out_oracle(weighted):
 def test_grid_scores_equal_per_pair_scores():
     rng = np.random.default_rng(22)
     po = pseudo_observations(rng.normal(size=(60, 2)))
-    nn = two_nearest_neighbors(po.points)
+    nn = nn_of_points(po.points)
     res = select_cutoffs(po.points, nn, kmax=4, lmax=3)
     for K in range(5):
         for L in range(4):
@@ -85,7 +86,7 @@ def test_grid_scores_equal_per_pair_scores():
 def test_selection_is_admissible_argmin_with_tie_preference():
     rng = np.random.default_rng(23)
     po = pseudo_observations(rng.normal(size=(80, 2)))
-    nn = two_nearest_neighbors(po.points)
+    nn = nn_of_points(po.points)
     res = select_cutoffs(po.points, nn, kmax=5, lmax=5)
     best, best_score = None, math.inf
     for s in range(11):
@@ -116,7 +117,7 @@ def test_moderate_dependence_prefers_small_cutoffs():
         sample = gen_gaussian(300, 0.4, seed=1000 + r)
         po = pseudo_observations(sample)
         tp = transform_points(po.points)
-        nn = two_nearest_neighbors(tp.points)
+        nn = nn_of_points(tp.points)
         picks.append(select_cutoffs(po.points, nn, weights=tp.weights).best)
     assert picks.count((1, 1)) > len(picks) / 2
 
@@ -124,7 +125,7 @@ def test_moderate_dependence_prefers_small_cutoffs():
 def test_argument_validation():
     rng = np.random.default_rng(24)
     po = pseudo_observations(rng.normal(size=(10, 2)))
-    nn = two_nearest_neighbors(po.points)
+    nn = nn_of_points(po.points)
     with pytest.raises(ConfigError):
         select_cutoffs(po.points, nn, kmax=-1)
     with pytest.raises(ConfigError):
@@ -150,7 +151,7 @@ def test_batched_selection_and_table_corners():
                 w = np.stack([tp.weights for tp in tps])
             else:
                 pts, w = points, None
-            nn = two_nearest_neighbors(pts)
+            nn = nn_of_points(pts)
             res = select_cutoffs(points, nn, kmax=4, lmax=3, weights=w)
             assert res.beta.shape == res.scores.shape == (m, 5, 4)
             for K in range(5):
@@ -162,7 +163,7 @@ def test_batched_selection_and_table_corners():
             for i in range(m):
                 one = select_cutoffs(
                     pseudo_observations(samples[i]).points,
-                    two_nearest_neighbors(pts[i]),
+                    nn_of_points(pts[i]),
                     kmax=4,
                     lmax=3,
                     weights=None if w is None else w[i],

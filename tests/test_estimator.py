@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hellcorr.estimator as estimator_module
-from hellcorr import ranks_nn
 from hellcorr.basis import design_matrix
 from hellcorr.errors import ConfigError, DegenerateDataError, DomainError, SizeError
 from hellcorr.estimator import (
@@ -20,9 +19,9 @@ from hellcorr.estimator import (
     pearson,
 )
 from hellcorr.generators import gen_gaussian
-from hellcorr.inference import null_table
-from hellcorr.ranks_nn import column_ranks, pseudo_observations, two_nearest_neighbors
+from hellcorr.ranks_nn import column_ranks, pseudo_observations
 from oracles import b_hat_raw, transform_points
+from points_nn import nn_of_points
 
 
 def oracle_eta(sample, K, L, transform):
@@ -35,7 +34,7 @@ def oracle_eta(sample, K, L, transform):
         dist_pts, w = tp.points, tp.weights
     else:
         dist_pts, w = po.points, np.ones(n)
-    rw = two_nearest_neighbors(dist_pts).values * w
+    rw = nn_of_points(dist_pts).values * w
     cn = 2.0 * math.sqrt(n - 1.0) / n
     P = design_matrix(po.points[:, 0], K)
     Q = design_matrix(po.points[:, 1], L)
@@ -302,22 +301,6 @@ class TestEstimateBatch:
                 assert [(L, K) for K, L in picks] == core_cutoffs(samples[:, :, ::-1], swapped_cfg)
                 assert len(set(picks)) > 1
 
-    def test_rank_frame_equals_point_route(self, monkeypatch):
-        # the point route: every set's points in input order, and the scan's
-        # frame check off, so it sorts each set as it does any other input
-        cfgs = (EstimateConfig(cutoffs=(3, 3)), EstimateConfig(), EstimateConfig(transform="none"))
-        samples = np.random.default_rng(48).normal(size=(6, 500, 2))
-        samples[::2] = np.round(samples[::2], 1)
-
-        def outputs():
-            return [null_table(500, 200, cfgs[0], seed=7).draws] + [estimate_batch(samples, c) for c in cfgs]
-
-        frame = outputs()
-        monkeypatch.setattr(estimator_module, "BAND_MIN_N", 1 << 30)
-        monkeypatch.setattr(ranks_nn, "_in_rank_frame", lambda x: False)
-        for got, ref in zip(frame, outputs()):
-            np.testing.assert_array_equal(got, ref)
-
     def test_rejects_misshaped_samples(self):
         samples = np.random.default_rng(44).random((3, 10, 2))
         fixed = EstimateConfig(cutoffs=(1, 1))
@@ -333,8 +316,8 @@ class TestEstimateBatch:
     def test_coincident_points_raise(self, monkeypatch):
         # rank points are distinct, so the nearest-neighbour step is made to
         # see one replicate whose points all coincide
-        def coincide_in_second(points):
-            d = real(points)
+        def coincide_in_second(x, y):
+            d = real(x, y)
             d[1] = 0.0
             return d
 

@@ -30,9 +30,10 @@ from hellcorr.inference import (
     significance,
 )
 from hellcorr.inference import _beta_copula
-from hellcorr.ranks_nn import column_ranks, pseudo_observations, two_nearest_neighbors
+from hellcorr.ranks_nn import column_ranks, pseudo_observations
 from hellcorr.rng import _streams
 from oracles import beta_copula, seed_sequence_stream
+from points_nn import nn_of_points
 
 
 def encode_draws(values):
@@ -155,10 +156,10 @@ class TestBetaCopulaSampling:
         pts = pseudo_observations(gen_gaussian(100, 0.5, seed=6)).points
         rows = np.random.default_rng(7).integers(0, 100, 100)
         assert len(np.unique(rows)) < 100
-        naive = two_nearest_neighbors(pts[rows])
+        naive = nn_of_points(pts[rows])
         assert naive.values.min() == 0.0
         ranks = pseudo_observations(gen_gaussian(100, 0.5, seed=6)).ranks
-        smooth = two_nearest_neighbors(sample_beta_copula(ranks, 100, seed=8))
+        smooth = nn_of_points(sample_beta_copula(ranks, 100, seed=8))
         assert smooth.values.min() > 0.0
 
 

@@ -13,6 +13,7 @@ from hellcorr.errors import SizeError
 from hellcorr.generators import gen_gaussian
 from hellcorr.ranks_nn import (
     _BAND_CELLS,
+    _BAND_MIN_N,
     _BAND_REACH,
     _BAND_ROWS,
     _BRUTE_CELLS,
@@ -25,6 +26,7 @@ from hellcorr.ranks_nn import (
     two_nearest_neighbors,
 )
 from oracles import b_hat_raw, stable_ranks, two_nearest_brute
+from points_nn import nn_of_points
 
 
 def rand_points(rng, n, style):
@@ -39,6 +41,38 @@ def rand_points(rng, n, style):
     # duplicates: force repeated coordinates
     base = rng.random((max(n // 3, 1), 2))
     return base[rng.integers(0, len(base), n)]
+
+
+def rand_sets(rng, n, m, style):
+    """m sets in x order: the x row they share (n,) and their y (m, n).
+    "duplicates" repeats x values and rounds y, so some points coincide."""
+    if style == "uniform":
+        x, y = rng.random(n), rng.random((m, n))
+    elif style == "gaussian":
+        x, y = rng.normal(size=n), rng.normal(size=(m, n))
+    elif style == "clustered":
+        pick = rng.integers(0, 8, n)
+        x = rng.random(8)[pick] + 1e-4 * rng.normal(size=n)
+        y = rng.random((m, 8))[:, pick] + 1e-4 * rng.normal(size=(m, n))
+    else:
+        k = max(n // 3, 1)
+        x, y = rng.random(k)[rng.integers(0, k, n)], np.round(rng.random((m, n)), 1)
+    order = np.argsort(x)
+    return x[order], y[:, order]
+
+
+def as_points(x, y):
+    """The (m, n, 2) points of the sets (x, y)."""
+    return np.stack(np.broadcast_arrays(x, y), axis=-1)
+
+
+def check_sets(x, y):
+    """Both scans of the sets (x, y) against the brute oracle, set by set."""
+    nn = two_nearest_neighbors(x, y)
+    np.testing.assert_array_equal(nearest_distances(x, y), nn.values)
+    for i, pts in enumerate(as_points(x, y)):
+        assert_matches_brute(pts, nn.index[i], nn.values[i], nn.second[i])
+    return nn
 
 
 def brute(pts):
@@ -195,6 +229,29 @@ class TestPseudoObservations:
         np.testing.assert_array_equal(tie, unique)
 
 
+def assert_refuses(scan):
+    """The scan's refusals: x not one non-decreasing row, y's last axis not
+    n or more than one batch axis, a value not finite, fewer than 2 points."""
+    x = np.array([0.1, 0.2, 0.2, 0.3])
+    y = np.array([[0.5, 0.4, 0.6, 0.1]])
+    scan(x, y)
+    scan(x, y[0])
+    for bad_x, bad_y in (
+        (x[::-1], y),
+        (np.array([0.1, 0.3, 0.2, 0.4]), y),
+        (x[:, None], y),
+        (x, y[:, :3]),
+        (x, y.T),
+        (x, y[None]),
+        (np.array([0.1, np.nan, 0.2, 0.3]), y),
+        (x, np.array([0.5, np.inf, 0.6, 0.1])),
+        (x[:1], y[:, :1]),
+        (x[:0], y[:, :0]),
+    ):
+        with pytest.raises(SizeError):
+            scan(bad_x, bad_y)
+
+
 class TestNearestDistances:
     def test_equal_the_single_scan_bitwise(self):
         # batches of several sizes: a scan step holds many small sets or one
@@ -202,31 +259,24 @@ class TestNearestDistances:
         rng = np.random.default_rng(15)
         for n, m in ((2, 5), (3, 40), (12, 3000), (200, 9), (600, 3), (1024, 2)):
             for style in ("uniform", "duplicates"):
-                pts = np.stack([rand_points(rng, n, style) for _ in range(m)])
-                got = nearest_distances(pts)
-                for i in range(m):
-                    np.testing.assert_array_equal(got[i], brute(pts[i])[1])
+                x, y = rand_sets(rng, n, m, style)
+                got = nearest_distances(x, y)
+                for i, pts in enumerate(as_points(x, y)):
+                    np.testing.assert_array_equal(got[i], brute(pts)[1])
 
     def test_rejects_misshaped_points(self):
-        with pytest.raises(SizeError):
-            nearest_distances(np.zeros((3, 1, 2)))
-        with pytest.raises(SizeError):
-            nearest_distances(np.zeros((5, 2)))
+        assert_refuses(nearest_distances)
 
 
 class TestTwoNearest:
     def test_batch_equals_oracle(self):
-        # a scan step holds 1820 sets at n = 12, 2 at n = 200 and one from
-        # n = 289 on, so these batches cross chunk boundaries
+        # a scan step holds 1820 sets at n = 12, 9 at n = 167, 3 at n = 168
+        # and one from n = 289 on, so these batches cross chunk boundaries
         rng = np.random.default_rng(16)
-        for n, m in ((2, 4), (3, 7), (12, 1830), (200, 13), (600, 3), (1023, 2), (1024, 2)):
+        for n, m in ((2, 4), (12, 1830), (167, 19), (168, 7), (500, 3), (1023, 3), (1024, 2)):
             for style in ("uniform", "duplicates"):
-                pts = np.stack([rand_points(rng, n, style) for _ in range(m)])
-                nn = two_nearest_neighbors(pts)
+                nn = check_sets(*rand_sets(rng, n, m, style))
                 assert nn.index.shape == nn.values.shape == nn.second.shape == (m, n)
-                np.testing.assert_array_equal(nn.values, nearest_distances(pts))
-                for i in range(m):
-                    assert_matches_brute(pts[i], nn.index[i], nn.values[i], nn.second[i])
 
     def test_tree_equals_brute_bitwise(self):
         rng = np.random.default_rng(7)
@@ -250,8 +300,9 @@ class TestTwoNearest:
     def test_size_dispatch_matches_brute(self):
         rng = np.random.default_rng(10)
         for n in (100, 1023, 1024, 2000):
-            pts = rng.random((n, 2))
-            nn = two_nearest_neighbors(pts)
+            x, y = np.sort(rng.random(n)), rng.random(n)
+            pts = np.column_stack([x, y])
+            nn = two_nearest_neighbors(x, y)
             assert_matches_brute(pts, nn.index, nn.values, nn.second)
             # reductions round strided and contiguous inputs differently, so
             # equal distances must also give equal plug-in sums
@@ -270,9 +321,9 @@ class TestTwoNearest:
             "from hellcorr.ranks_nn import two_nearest_neighbors\n"
             "rng = np.random.default_rng(0)\n"
             "hellcorr.estimate(rng.normal(size=(500, 2)))\n"
-            "two_nearest_neighbors(rng.random((1023, 2)))\n"
+            "two_nearest_neighbors(np.sort(rng.random(1023)), rng.random(1023))\n"
             "print('scipy.spatial' in sys.modules)\n"
-            "two_nearest_neighbors(rng.random((1024, 2)))\n"
+            "two_nearest_neighbors(np.sort(rng.random(1024)), rng.random(1024))\n"
             "print('scipy.spatial' in sys.modules)\n"
         )
         proc = subprocess.run(
@@ -308,39 +359,35 @@ class TestTwoNearest:
 
     def test_second_at_least_first(self):
         rng = np.random.default_rng(8)
-        nn = two_nearest_neighbors(rng.random((200, 2)))
+        nn = two_nearest_neighbors(np.sort(rng.random(200)), rng.random(200))
         assert np.all(nn.second >= nn.values)
 
     def test_index_points_at_true_neighbor(self):
         rng = np.random.default_rng(9)
-        pts = rng.random((80, 2))
-        nn = two_nearest_neighbors(pts)
+        pts = np.column_stack([np.sort(rng.random(80)), rng.random(80)])
+        nn = two_nearest_neighbors(pts[:, 0], pts[:, 1])
         dx = pts[:, 0] - pts[nn.index, 0]
         dy = pts[:, 1] - pts[nn.index, 1]
         np.testing.assert_array_equal(np.sqrt(dx * dx + dy * dy), nn.values)
         assert np.all(nn.index != np.arange(80))
 
     def test_duplicate_points_give_zero_distance(self):
-        pts = np.array([[0.2, 0.2], [0.2, 0.2], [0.9, 0.9], [0.8, 0.1]])
-        nn = two_nearest_neighbors(pts)
+        nn = two_nearest_neighbors([0.2, 0.2, 0.8, 0.9], [0.2, 0.2, 0.1, 0.9])
         assert nn.values[0] == 0.0 and nn.values[1] == 0.0
 
     def test_n_equals_2_second_is_inf(self):
-        nn = two_nearest_neighbors(np.array([[0.0, 0.0], [1.0, 1.0]]))
+        nn = two_nearest_neighbors([0.0, 1.0], [0.0, 1.0])
         assert np.isinf(nn.second).all()
         np.testing.assert_allclose(nn.values, np.sqrt(2.0))
 
     def test_rejects_misshaped_points(self):
-        with pytest.raises(SizeError):
-            two_nearest_neighbors(np.zeros((1, 2)))
-        with pytest.raises(SizeError):
-            two_nearest_neighbors(np.zeros((5, 3)))
+        assert_refuses(two_nearest_neighbors)
 
     def test_equidistant_index_swap_leaves_cv_scores_unchanged(self):
         # n + 1 = 64 makes the rank points dyadic, so equal lattice offsets
         # give exactly equal distances
         po = pseudo_observations(gen_gaussian(63, 0.9, seed=1))
-        nn = two_nearest_neighbors(po.points)
+        nn = nn_of_points(po.points)
         d = np.sqrt(((po.points[:, None, :] - po.points[None, :, :]) ** 2).sum(axis=2))
         np.fill_diagonal(d, np.inf)
         swapped = nn.index.copy()
@@ -363,48 +410,40 @@ def chunk_sets(n):
     return max(1, (_BRUTE_CELLS if below is None else _BAND_CELLS) // (r.size * c.shape[1]))
 
 
-def sort_min():
-    """The smallest n the band sorts and tiles; below it one tile spans the set."""
-    return next(n for n in range(2, 1024) if _band(n)[3] is not None)
+def unsettled_set(n):
+    """x = i/n, y = frac(i * golden ratio) * 1e6: each point's nearest
+    neighbour lies far off in y, beyond every band's x-gap."""
+    i = np.arange(n)
+    return i / n, ((i * (1 + 5**0.5) / 2) % 1.0 * 1e6)[None]
 
 
 class TestBand:
     """The banded scan below the tree cutoff against the brute oracle."""
 
-    def check(self, pts):
-        nn = two_nearest_neighbors(pts)
-        np.testing.assert_array_equal(nearest_distances(pts), nn.values)
-        for i in range(len(pts)):
-            assert_matches_brute(pts[i], nn.index[i], nn.values[i], nn.second[i])
-        return nn
-
     @pytest.mark.parametrize("style", ["uniform", "gaussian", "clustered", "duplicates"])
     def test_sizes_around_the_band_edges(self, style):
         # each batch crosses two chunk boundaries
         width = _BAND_ROWS + 2 * _BAND_REACH
-        edge = sort_min()
-        assert _band(edge - 1)[3] is None and width < edge
+        edge = _BAND_MIN_N
+        assert _band(edge - 1)[3] is None and _band(edge)[3] is not None and width < edge
         rng = np.random.default_rng(17)
         for n in (width - 1, width, width + 1, edge - 1, edge, edge + 1, 500, 1023):
-            m = 2 * chunk_sets(n) + 1
-            self.check(np.stack([rand_points(rng, n, style) for _ in range(m)]))
+            check_sets(*rand_sets(rng, n, 2 * chunk_sets(n) + 1, style))
 
     @pytest.mark.parametrize("n", [255, 511])
     def test_rank_grid_with_equidistant_ties(self, n):
         # n + 1 = 2**k makes the rank points dyadic, so equal lattice offsets
         # give exactly equal distances, as the estimator's transform="none" sees them
-        rhos = (0.0, 0.7, 0.99)
-        pts = np.stack([pseudo_observations(gen_gaussian(n, rho, seed=3)).points for rho in rhos])
-        nn = self.check(pts)
+        y = []
+        for rho in (0.0, 0.7, 0.99):
+            po = pseudo_observations(gen_gaussian(n, rho, seed=3))
+            y.append(po.points[np.argsort(po.ranks[:, 0]), 1])
+        nn = check_sets(np.arange(1, n + 1) / (n + 1.0), np.stack(y))
         assert np.all(np.count_nonzero(nn.values == nn.second, axis=1) >= 3)
 
     def test_every_row_unsettled(self, monkeypatch):
-        # x = i/n, y = frac(i * golden ratio) * 1e6: each point's nearest
-        # neighbour lies far off in y, beyond every band's x-gap, so every row
-        # falls back to a scan of its whole set
+        # every row falls back to a scan of its whole set
         n = 500
-        i = np.arange(n)
-        pts = np.stack([i / n, (i * (1 + 5**0.5) / 2) % 1.0 * 1e6], axis=1)[None]
         full_rows = []
         reduce = ranks_nn._reduce
 
@@ -414,7 +453,7 @@ class TestBand:
             return reduce(sq, two)
 
         monkeypatch.setattr(ranks_nn, "_reduce", spy)
-        self.check(pts)
+        check_sets(*unsettled_set(n))
         # one scan per row and call, the rows the last tile shares with the
         # tile before scanned once
         assert sum(full_rows) == 2 * n
@@ -425,8 +464,6 @@ class TestBand:
         # the tile before (n = 500 is not a multiple of the tile height)
         n = 500
         assert _band(n)[0].size == 512
-        i = np.arange(n)
-        pts = np.stack([i / n, (i * (1 + 5**0.5) / 2) % 1.0 * 1e6], axis=1)[None]
         rows = []
         squared = ranks_nn._squared
 
@@ -436,52 +473,39 @@ class TestBand:
             return squared(dx2, yr, yc, out)
 
         monkeypatch.setattr(ranks_nn, "_squared", spy)
-        if two:
-            two_nearest_neighbors(pts)
-        else:
-            nearest_distances(pts)
+        (two_nearest_neighbors if two else nearest_distances)(*unsettled_set(n))
         assert sum(rows) == n
 
 
-def frame_spy(monkeypatch):
-    """Record what each banded scan's frame check returns."""
-    seen = []
-    check = ranks_nn._in_rank_frame
-
-    def spy(x):
-        seen.append(check(x))
-        return seen[-1]
-
-    monkeypatch.setattr(ranks_nn, "_in_rank_frame", spy)
-    return seen
-
-
 class TestRankFrame:
-    """The estimator's sets in x-rank order against the same points in input
-    order and the brute oracle: from BAND_MIN_N up the scan reads the frame
-    off its input and skips its sort and its per-set x work."""
+    """The estimator's sets in their rank frame against the same points in
+    input order, scanned one set at a time, and the brute oracle: at every n
+    the scan gets each set's y in x-rank order (one scatter of the x-ranks)
+    and the one x row they share, and the results come back through the order."""
 
     @pytest.mark.parametrize(
         "n, transform",
-        [(167, "beta66"), (168, "beta66"), (169, "beta66"), (500, "beta66"), (1023, "beta66"),
-         (255, "none"), (511, "none")],
+        [(3, "beta66"), (12, "beta66"), (63, "none"), (100, "beta66"), (167, "beta66"),
+         (168, "beta66"), (169, "beta66"), (500, "beta66"), (1023, "beta66"), (255, "none"),
+         (511, "none")],
     )
-    def test_frame_equals_points_and_brute(self, monkeypatch, n, transform):
-        # each batch crosses two chunk boundaries; every other sample is
-        # rounded to one decimal, so its ties are ranked by input order. At
-        # n + 1 = 2**k the "none" rank points are dyadic and tie equidistantly
+    def test_frame_equals_points_and_brute(self, n, transform):
+        # each batch but n = 3's (where one chunk holds 29,127 sets) crosses
+        # two chunk boundaries; every other sample is rounded to one decimal
+        # and repeats its first row, so it has ties at every n, ranked by
+        # input order. At n + 1 = 2**k the "none" rank points are dyadic and
+        # tie equidistantly
         rng = np.random.default_rng(n)
-        m = 2 * chunk_sets(n) + 1
+        m = 2 * chunk_sets(n) + 1 if n > 3 else 999
         samples = np.stack([gen_gaussian(n, rho, seed=rng) for rho in np.linspace(0.0, 0.95, m)])
         samples[::2] = np.round(samples[::2], 1)
+        samples[::2, 1] = samples[::2, 0]
         ranks, tie = column_ranks(samples)
         assert tie[::2].all()
         coord, _ = _rank_coordinates(ranks, transform)
         pts = coord[ranks - 1]
-        seen = frame_spy(monkeypatch)
         got, got_first = _nearest(ranks, coord, True), _nearest(ranks, coord, False)
-        ref = two_nearest_neighbors(pts)
-        np.testing.assert_array_equal(got_first, nearest_distances(pts))
+        ref = nn_of_points(pts)
         np.testing.assert_array_equal(got.values, ref.values)
         np.testing.assert_array_equal(got.values, got_first)
         np.testing.assert_array_equal(got.second, ref.second)
@@ -490,27 +514,6 @@ class TestRankFrame:
         np.testing.assert_array_equal(got.index[clear], ref.index[clear])
         for i in range(m):
             assert_matches_brute(pts[i], got.index[i], got.values[i], got.second[i])
-        # the frame's two scans, then the point route's two
-        assert seen == ([] if n < ranks_nn.BAND_MIN_N else [True, True, False, False])
-
-    def test_other_batches_take_the_per_set_route(self, monkeypatch):
-        rng = np.random.default_rng(18)
-        n = 300
-        ascending = np.stack([np.sort(rng.random(n)), rng.random(n)], axis=-1)
-        shifted = ascending.copy()
-        shifted[:, 0] += 0.25  # ascending too, but not the other's x column
-        frame = np.stack([ascending, ascending.copy(), ascending.copy()])
-        frame[1:, :, 1] = rng.random((2, n))
-        unsorted = frame.copy()
-        unsorted[2] = unsorted[2, rng.permutation(n)]
-        seen = frame_spy(monkeypatch)
-        # unequal x columns, one set unsorted, one x column shared but descending
-        for pts in (np.stack([ascending, shifted]), unsorted, frame[:, ::-1], frame):
-            nn = two_nearest_neighbors(pts)
-            np.testing.assert_array_equal(nearest_distances(pts), nn.values)
-            for i in range(len(pts)):
-                assert_matches_brute(pts[i], nn.index[i], nn.values[i], nn.second[i])
-        assert seen == [False] * 6 + [True] * 2
 
 
 class TestLeaveOneOut:
@@ -520,8 +523,9 @@ class TestLeaveOneOut:
         # identity the cross-validation shortcut rests on
         rng = np.random.default_rng(11)
         for n in (60, 1100):
-            pts = rng.random((n, 2))
-            for nn in (two_nearest_neighbors(pts), TwoNearest(*_two_nearest_tree(pts))):
+            x, y = np.sort(rng.random(n)), rng.random(n)
+            pts = np.column_stack([x, y])
+            for nn in (two_nearest_neighbors(x, y), TwoNearest(*_two_nearest_tree(pts))):
                 for excl in (0, 17, n - 1):
                     keep = np.arange(n) != excl
                     got = np.where(nn.index == excl, nn.second, nn.values)[keep]
@@ -531,17 +535,19 @@ class TestLeaveOneOut:
 @pytest.mark.parametrize("m, n", [(1, 500), (3, 7), (40, 90)])
 def test_distance_buffer_starts_on_a_cache_line(m, n, monkeypatch):
     # a scan over a buffer 16 to 48 bytes past a 64-byte boundary ran about
-    # 10% slower; every chunk's tile distances start the band's buffer
+    # 10% slower; every chunk's tile distances and the squared x-gaps added
+    # to them start on one, in the band (n = 500) and in the whole-set scan
     starts = []
-    reduce = ranks_nn._reduce
+    squared = ranks_nn._squared
 
-    def spy(sq, two):
-        if sq.ndim == 4:
-            starts.append(sq.ctypes.data % 64)
-        return reduce(sq, two)
+    def spy(dx2, yr, yc, out):
+        if out.ndim == 4:  # a chunk's tiles, not a whole-set row scan
+            starts.append((out.ctypes.data % 64, dx2.ctypes.data % 64))
+        return squared(dx2, yr, yc, out)
 
-    monkeypatch.setattr(ranks_nn, "_reduce", spy)
-    pts = np.random.default_rng(n).random((m, n, 2))
-    nearest_distances(pts)
-    two_nearest_neighbors(pts)
-    assert starts and set(starts) == {0}
+    monkeypatch.setattr(ranks_nn, "_squared", spy)
+    rng = np.random.default_rng(n)
+    x, y = np.sort(rng.random(n)), rng.random((m, n))
+    nearest_distances(x, y)
+    two_nearest_neighbors(x, y)
+    assert starts and set(starts) == {(0, 0)}
