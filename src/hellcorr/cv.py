@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import design_matrix, tensor_sums
+from .basis import design_at, tensor_sums
 from .errors import ConfigError, SizeError
 
 
@@ -45,8 +45,8 @@ def _cell_tables(points, nn, kmax, lmax, weights):
     a = np.indices(nn.index.shape, sparse=True)[:-1] + (nn.index,)
     rw = nn.values * w
     g = (nn.second - nn.values) * w * rw[a]
-    P = design_matrix(points[..., 0], kmax)
-    Q = design_matrix(points[..., 1], lmax)
+    P = design_at(points[..., 0], kmax)
+    Q = design_at(points[..., 1], lmax)
     tf = tensor_sums(rw, P, Q)
     t2 = tensor_sums(rw * rw, P * P, Q * Q)
     # the last use of P and Q: multiplying in place holds peak memory down
@@ -86,9 +86,10 @@ def select_cutoffs(points, nn, kmax=5, lmax=5, weights=None):
     """Scan the cutoff grid and pick the admissible minimiser.
 
     points are the rank points of one sample, (n, 2), or of a batch of
-    same-size samples, (m, n, 2); nn and weights match them. The full score
-    grid is computed for every pair up to (kmax, lmax); ties prefer the
-    smaller K + L, then the smaller K.
+    same-size samples, (m, n, 2), or their integer ranks, which read the basis
+    from a per-n table (``basis.design_at``); nn and weights match them. The
+    full score grid is computed for every pair up to (kmax, lmax); ties prefer
+    the smaller K + L, then the smaller K.
     """
     if kmax < 0 or lmax < 0:
         raise ConfigError("cutoff bounds must be non-negative")

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BATCH_POINTS, MAX_DEGREE, design_matrix, tensor_sums
+from .basis import BATCH_POINTS, MAX_DEGREE, design_at, tensor_sums
 from .cv import CvResult, select_cutoffs
 from .errors import ConfigError, DegenerateDataError, DomainError, _integer
 from .ranks_nn import (
@@ -136,14 +136,15 @@ def beta_hat_table(points, nn_values, K, L, weights=None):
     Entry (k, l) pairs the nearest-neighbour sum with the degree-(k, l)
     tensor basis function evaluated at the rank points. Leading batch axes
     of points (..., n, 2) and nn_values (..., n) carry through to the
-    (..., K+1, L+1) result (``basis.tensor_sums``).
+    (..., K+1, L+1) result (``basis.tensor_sums``). Integer ranks in place of
+    the points read the basis from a per-n table (``basis.design_at``).
     """
-    pts = np.asarray(points, dtype=float)
+    pts = np.asarray(points)
     v = np.asarray(nn_values, dtype=float)
     rw = v if weights is None else v * np.asarray(weights, dtype=float)
     n = pts.shape[-2]
     cn = 2.0 * math.sqrt(n - 1.0) / n
-    return cn * tensor_sums(rw, design_matrix(pts[..., 0], K), design_matrix(pts[..., 1], L))
+    return cn * tensor_sums(rw, design_at(pts[..., 0], K), design_at(pts[..., 1], L))
 
 
 def normalize_b(beta):
@@ -217,12 +218,10 @@ def _estimate_core(ranks, cfg):
     the x-order is the inverse of the x-ranks, and the x row the samples share
     is the coordinates of the ranks 1..n.
     """
-    n = ranks.shape[1]
-    points = ranks / (n + 1.0)
     coord, wts = _rank_coordinates(ranks, cfg.transform)
     if cfg.cutoffs is None:
         nn = _nearest(ranks, coord, True)
-        cv = select_cutoffs(points, nn, cfg.kmax, cfg.lmax, weights=wts)
+        cv = select_cutoffs(ranks, nn, cfg.kmax, cfg.lmax, weights=wts)
         cutoffs = cv.best
         k, l = np.ogrid[: cfg.kmax + 1, : cfg.lmax + 1]
         K, L = np.reshape(cutoffs, (-1, 2)).T[..., None, None]
@@ -230,7 +229,7 @@ def _estimate_core(ranks, cfg):
     else:
         cv = None
         cutoffs = [cfg.cutoffs] * len(ranks)
-        beta = beta_hat_table(points, _nearest(ranks, coord, False), *cfg.cutoffs, weights=wts)
+        beta = beta_hat_table(ranks, _nearest(ranks, coord, False), *cfg.cutoffs, weights=wts)
     braw = beta[:, 0, 0]
     if (cfg.cutoffs or (cfg.kmax, cfg.lmax)) == (0, 0):
         return braw, np.minimum(braw, 1.0), cutoffs, cv

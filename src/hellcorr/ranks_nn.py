@@ -10,27 +10,37 @@ the package that loads scipy, so inputs below the cutoff never import it.
 
 Both take every set in its rank frame: one non-decreasing row x of n
 coordinates that every set shares, the coordinates of the ranks 1..n, and
-each set's y coordinates in x-rank order. The banded scan compares each tile
-of _BAND_ROWS consecutive x-ranks only with the columns up to _BAND_REACH
-ranks to either side of it, for every set of a batch in one numpy call per
-chunk; the squared x-gaps of every tile and each row's settle gap come from
-x once per call. Its squared distances are those of a full scan,
-dx * dx + dy * dy of the same operands. Rounding is monotone, so no column
-past a row's band lies nearer than the x-gap to the first column outside it;
-a row whose band bound is below that gap squared is settled, and every other
-row scans its whole set. The bound is the band's first distance for
-``nearest_distances``, which is all fixed cutoffs need, and its second for
-``two_nearest_neighbors``, which keeps the first's index and both distances
-for cross-validation. A small set, where the band would keep most of the
-n * n cells, is scanned whole. Where a point's two nearest neighbours are
-equidistant the paths may name different neighbours; the cross-validation
-term that reads the index is then multiplied by second - first = 0.
+each set's y coordinates in x-rank order. Below the tree, a set of fewer than
+_BAND_MIN_N points is scanned whole; from there up, each answer has a band of
+its own. Every squared distance is dx * dx + dy * dy of the same operands as
+a full scan's, and d2(i, j) = d2(j, i) bit for bit. Rounding is monotone, so
+no point past a row's band lies nearer than the x-gap to the first rank
+outside it: a row whose band bound is below that gap squared is settled, and
+every other row scans its whole set, through one routine for both bands.
+
+``nearest_distances``, which is all fixed cutoffs need, takes the diagonal
+band: it computes d2(i, i + 1 + delta) for delta < R(n) once per pair, in a
+delta-major block, and reduces the block, and a skewed view of it for the
+pairs below the diagonal, across contiguous rows. Its bound is the band's
+first distance. ``two_nearest_neighbors``, which keeps the first's index and
+both distances for cross-validation, takes the tiles: each tile of
+_BAND_ROWS consecutive x-ranks is compared with the columns up to
+_BAND_REACH ranks to either side of it, so that every row's candidates lie
+along a last axis, where an argmin and a second least are one reduction
+each; its bound is the band's second distance. On the diagonal layout, a
+transposed copy of each row's 2 R(n) candidates reduced the same way took
+1.3-1.6x the tiles' time per set at n = 168-1023 (2-core VM). Where a point's
+two nearest neighbours are equidistant the paths may name different
+neighbours; the cross-validation term that reads the index is then
+multiplied by second - first = 0.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import SizeError
 from .rng import substream
@@ -63,6 +73,20 @@ _BAND_REACH = 48
 # per set, n = 113 took 1.13-1.25x and n = 130 0.97-1.09x the full scan's
 # time), so one tile spans each set
 _BAND_MIN_N = (3 * (_BAND_ROWS + 2 * _BAND_REACH) + 1) // 2
+# the diagonal band's reach R(n) = ceil(_DIAGONAL_SCALE * sqrt(n)) ranks to
+# either side of each row: 24 at n = 168, 41 at n = 500, 58 at n = 1023. On
+# beta66 rank sets it leaves 1.6-1.7% of the rows to a whole-set scan (2.6-2.8%
+# at 1.5, 0.8-0.9% at 2.2). At 1.5 and 2.2, null_table(n, 200, cutoffs=(3, 3))
+# was no faster at n = 168, 255, 500, 767 or 1023, and 1.5 was about 8%
+# slower at n = 1023 (medians of 7, one pinned core of a 2-core VM)
+_DIAGONAL_SCALE = 1.8
+# float cells of the one buffer a diagonal scan allocates, whatever n and the
+# batch size: a chunk's block, at least one set's below the tree, then the
+# whole-set rows' temporaries. With a buffer of 1 << 16 cells glibc trimmed
+# and regrew the heap on every call: null_table(n, 200, cutoffs=(3, 3)) took
+# 1,900-12,500 minor page faults per call at n = 168-1023, against 1-3, and
+# 1.2-1.9x the time. 1 << 18 was no faster
+_DIAGONAL_CELLS = 1 << 17
 
 
 def as_sample(x):
@@ -169,6 +193,13 @@ def _band(n):
     return r, col0[:, None] + np.arange(width), own, col0 - 1, above
 
 
+def _aligned(cells):
+    """An empty float buffer of cells cells that starts on a 64-byte boundary."""
+    raw = np.empty(cells + 8)
+    skip = (-raw.ctypes.data % 64) // 8
+    return raw[skip : skip + cells]
+
+
 def _x_squared(xr, xc, out):
     """(xr - xc) squared, into out: the x part of a squared distance."""
     np.subtract(xr, xc, out=out)
@@ -200,10 +231,11 @@ def _reduce(sq, two):
 
 
 def _nearest_squared(x, y, two):
-    """The banded scan of the m sets of points (x[i], y[s, i]), x (n,) and
-    y (m, n): each point's nearest neighbour's index (None unless two) and its
-    squared first and, if two, second nearest-neighbour distance, stacked
-    (1 + two, m, n). The x work runs once per call; each chunk works on y."""
+    """The tiled or whole-set scan of the m sets of points (x[i], y[s, i]),
+    x (n,) and y (m, n): each point's nearest neighbour's index (None unless
+    two) and its squared first and, if two, second nearest-neighbour distance,
+    stacked (1 + two, m, n). The x work runs once per call; each chunk works
+    on y. The tiles, from _BAND_MIN_N up, serve two only."""
     m, n = y.shape
     r, c, own, below, above = _band(n)
     cells = own.size * c.shape[1]
@@ -213,11 +245,10 @@ def _nearest_squared(x, y, two):
     # them. The x-gaps added to every tile follow in the same buffer, on a
     # boundary of their own
     lead = -(-step * cells // 8) * 8
-    raw = np.empty(lead + cells + 8)
-    skip = (-raw.ctypes.data % 64) // 8
-    tiles = raw[skip : skip + step * cells].reshape(step, *r.shape, c.shape[1])
+    work = _aligned(lead + cells)
+    tiles = work[: step * cells].reshape(step, *r.shape, c.shape[1])
     xr = x.take(r)
-    dx2 = raw[skip + lead : skip + lead + cells].reshape(tiles.shape[1:])
+    dx2 = work[lead:].reshape(tiles.shape[1:])
     _x_squared(xr[..., None], x.take(c)[:, None], dx2)
     dx2.reshape(-1)[own] = np.inf
     if below is not None:
@@ -240,8 +271,8 @@ def _nearest_squared(x, y, two):
             d[1][a : a + k, r] = second
             idx1[a : a + k, r] = pos + c[:, :1]
         if below is not None:
-            # settled: the gap exceeds the band's bound on the row's answer
-            np.greater(gap, second if two else first, out=settled[a : a + k])
+            # settled: the gap exceeds the band's second distance
+            np.greater(gap, second, out=settled[a : a + k])
     if below is None:
         return idx1, d
     # every row the band did not settle scans its whole set, once. The last
@@ -252,18 +283,89 @@ def _nearest_squared(x, y, two):
     if shared:
         settled[:, -1, :shared] &= settled[:, -2, -shared:]
         settled[:, -2, -shared:] = True
-    s_all, t, i = np.nonzero(~settled)
-    p_all = r[t, i]
-    per = _BAND_CELLS // n
+    s, t, i = np.nonzero(~settled)
+    _scan_rows(x, y, s, r[t, i], d, idx1, work)
+    return idx1, d
+
+
+def _scan_rows(x, y, s_all, p_all, d, idx1, work):
+    """Scan the whole set s_all[j] for its row p_all[j], for every j: the
+    fallback of both bands for the rows they do not settle. Writes the first
+    and, if idx1 is not None, the second distance and the first's index. The
+    temporaries of each step come from work, a flat buffer of 3n cells or
+    more: the band's own, which its scan no longer needs."""
+    n = x.size
+    two = idx1 is not None
+    per = work.size // (3 * n)
     for b in range(0, len(p_all), per):
         s, p = s_all[b : b + per], p_all[b : b + per]
-        sq, gx2 = np.empty((2, len(p), n))
+        sq, gx2, ys = work[: 3 * len(p) * n].reshape(3, len(p), n)
         _x_squared(x[p][:, None], x, gx2)[np.arange(len(p)), p] = np.inf
-        _squared(gx2, y[s, p][:, None], y[s], sq)
+        _squared(gx2, y[s, p][:, None], np.take(y, s, axis=0, out=ys), sq)
         pos, d[0, s, p], second = _reduce(sq, two)
         if two:
             d[1, s, p], idx1[s, p] = second, pos
-    return idx1, d
+
+
+def _reach(n):
+    """R(n), the reach of the diagonal band over n points."""
+    return math.ceil(_DIAGONAL_SCALE * math.sqrt(n))
+
+
+@lru_cache(maxsize=4)
+def _diagonal(xb):
+    """The diagonal band over the x row whose bytes are xb: its reach R, the
+    (R, n) squared x-gaps of each row i to row i + 1 + delta, inf past the
+    last row, and the squared x-gap of each row to the ranks i +- (R + 1),
+    the nearer one. Read-only."""
+    x = np.frombuffer(xb)
+    n, reach = x.size, _reach(x.size)
+    # x past the last row is inf, so every gap to it is inf too
+    ahead = np.lib.stride_tricks.sliding_window_view(np.append(x[1:], np.full(reach, np.inf)), n)
+    dx2 = _x_squared(x, ahead, _aligned(reach * n).reshape(reach, n))
+    # fl is monotone: no row past i +- (R + 1) lies nearer in x than those two
+    far = np.concatenate([np.full(reach + 1, -np.inf), x, np.full(reach + 1, np.inf)])
+    gap = np.minimum(_x_squared(x, far[:n], np.empty(n)), _x_squared(far[-n:], x, np.empty(n)))
+    dx2.flags.writeable = gap.flags.writeable = False
+    return reach, dx2, gap
+
+
+def _nearest_diagonal(x, y):
+    """Squared nearest-neighbour distances, stacked (1, m, n), of the m sets
+    of points (x[i], y[s, i]) from n = _BAND_MIN_N up: the diagonal band.
+
+    Each chunk computes d2(i, i + 1 + delta) for delta < R once per pair, into
+    a contiguous (sets, R, n) block: y less a sliding window of y, squared,
+    plus the cached x-gaps, inf past the last row. The forward minimum of row
+    i reduces the block over delta. The backward one, over
+    d2(i, i - 1 - delta) = d2(i - 1 - delta, i), reduces a skewed read-only
+    view of the same block whose rows step n - 1 cells: where
+    i - 1 - delta < 0 it reads the inf tail of the row before, and row 0 has
+    no backward cells. Both reductions run over whole contiguous rows; on a
+    block of rows that are not contiguous with each other numpy's
+    elementwise steps took about 4x as long per cell (2-core VM).
+    """
+    m, n = y.shape
+    reach, dx2, gap = _diagonal(x.tobytes())
+    step = max(1, min(m, _DIAGONAL_CELLS // (reach * n)))
+    work = _aligned(_DIAGONAL_CELLS)
+    block = work[: step * reach * n].reshape(step, reach, n)
+    st, sr, sc = block.strides
+    back = as_strided(block, shape=(step, reach, n - 1), strides=(st, sr - sc, sc), writeable=False)
+    # y[s, i + 1 + delta], any finite value past the last row, where the x-gap
+    # is inf; as_strided, not sliding_window_view: 5 against 12 us a call
+    ypad = np.zeros((m, n + reach))
+    ypad[:, :n] = y
+    ahead = as_strided(ypad[:, 1:], shape=(m, reach, n), strides=(ypad.strides[0], sc, sc), writeable=False)
+    d = np.empty((1, m, n))
+    for a in range(0, m, step):
+        k = min(step, m - a)
+        first = d[0, a : a + k]
+        _squared(dx2, y[a : a + k, None], ahead[a : a + k], block[:k]).min(axis=1, out=first)
+        np.minimum(first[:, 1:], back[:k].min(axis=1), out=first[:, 1:])
+    s, p = np.nonzero(gap <= d[0])  # unsettled: a row past the band may be nearer
+    _scan_rows(x, y, s, p, d, None, work)
+    return d
 
 
 def _two_nearest_tree(pts):
@@ -318,4 +420,5 @@ def nearest_distances(x, y):
     xs, ys = _scan_input(x, y)
     if xs.size >= _TREE_MIN_N:
         return two_nearest_neighbors(xs, y).values
-    return np.sqrt(_nearest_squared(xs, ys, False)[1][0]).reshape(np.shape(y))
+    sq = _nearest_diagonal(xs, ys) if xs.size >= _BAND_MIN_N else _nearest_squared(xs, ys, False)[1]
+    return np.sqrt(sq[0]).reshape(np.shape(y))

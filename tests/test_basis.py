@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import eval_sh_legendre
 
-from hellcorr.basis import MAX_DEGREE, design_matrix
+from hellcorr.basis import MAX_DEGREE, _rank_table, design_at, design_matrix
 from hellcorr.errors import CapabilityError, DomainError
 
 
@@ -36,6 +36,21 @@ def test_orthonormal_under_quadrature():
     m = design_matrix(u, MAX_DEGREE)
     gram = (m * w[:, None]).T @ m
     np.testing.assert_allclose(gram, np.eye(MAX_DEGREE + 1), atol=1e-12)
+
+
+def test_rank_rows_equal_the_recurrence_bitwise():
+    # integer ranks 1..n read the rows of a read-only per-n table at the rank
+    # points r/(n+1); float points go through the recurrence
+    rng = np.random.default_rng(3)
+    for n, degree in ((2, 0), (12, 5), (500, MAX_DEGREE)):
+        ranks = np.stack([rng.permutation(n) + 1 for _ in range(3)])
+        points = ranks / (n + 1.0)
+        np.testing.assert_array_equal(design_at(ranks, degree), design_matrix(points, degree))
+        np.testing.assert_array_equal(design_at(points, degree), design_matrix(points, degree))
+        assert not _rank_table(n, degree).flags.writeable
+    for bad in ([0, 1, 2], [1, 2, 4]):
+        with pytest.raises(DomainError):
+            design_at(np.array(bad), 2)
 
 
 def test_domain_checks():

@@ -154,12 +154,16 @@ def test_batched_selection_and_table_corners():
             nn = nn_of_points(pts)
             res = select_cutoffs(points, nn, kmax=4, lmax=3, weights=w)
             assert res.beta.shape == res.scores.shape == (m, 5, 4)
+            # the integer ranks read the basis from a per-n table, bit for bit
+            by_rank = select_cutoffs(ranks, nn, kmax=4, lmax=3, weights=w)
+            assert by_rank.best == res.best
+            np.testing.assert_array_equal(by_rank.scores, res.scores)
+            np.testing.assert_array_equal(by_rank.beta, res.beta)
             for K in range(5):
                 for L in range(4):
-                    np.testing.assert_array_equal(
-                        res.beta[:, : K + 1, : L + 1],
-                        beta_hat_table(points, nn.values, K, L, weights=w),
-                    )
+                    table = beta_hat_table(points, nn.values, K, L, weights=w)
+                    np.testing.assert_array_equal(res.beta[:, : K + 1, : L + 1], table)
+                    np.testing.assert_array_equal(beta_hat_table(ranks, nn.values, K, L, weights=w), table)
             for i in range(m):
                 one = select_cutoffs(
                     pseudo_observations(samples[i]).points,

@@ -17,8 +17,11 @@ from hellcorr.ranks_nn import (
     _BAND_REACH,
     _BAND_ROWS,
     _BRUTE_CELLS,
+    _DIAGONAL_CELLS,
+    _TREE_MIN_N,
     TwoNearest,
     _band,
+    _reach,
     _two_nearest_tree,
     column_ranks,
     nearest_distances,
@@ -255,12 +258,14 @@ def assert_refuses(scan):
 class TestNearestDistances:
     def test_equal_the_single_scan_bitwise(self):
         # batches of several sizes: a scan step holds many small sets or one
-        # banded n = 600 set, or the batch goes to the tree at n >= 1024
+        # banded n = 600 set, or the batch goes to the tree at n >= 1024; an
+        # empty batch gives an empty answer
         rng = np.random.default_rng(15)
-        for n, m in ((2, 5), (3, 40), (12, 3000), (200, 9), (600, 3), (1024, 2)):
+        for n, m in ((2, 5), (3, 40), (12, 3000), (200, 9), (300, 0), (600, 3), (1024, 2)):
             for style in ("uniform", "duplicates"):
                 x, y = rand_sets(rng, n, m, style)
                 got = nearest_distances(x, y)
+                assert got.shape == (m, n)
                 for i, pts in enumerate(as_points(x, y)):
                     np.testing.assert_array_equal(got[i], brute(pts)[1])
 
@@ -405,9 +410,19 @@ class TestTwoNearest:
 
 
 def chunk_sets(n):
-    """Sets one step of the scan holds at n points."""
+    """Sets one step of the tiled or whole-set scan holds at n points."""
     r, c, _, below, _ = _band(n)
     return max(1, (_BRUTE_CELLS if below is None else _BAND_CELLS) // (r.size * c.shape[1]))
+
+
+def crossing_batch(n):
+    """A batch of sets of n points that crosses two chunk boundaries of each
+    scan they take: the tiles or the whole-set scan and, from _BAND_MIN_N up,
+    the diagonal band."""
+    sets = chunk_sets(n)
+    if n >= _BAND_MIN_N:
+        sets = max(sets, _DIAGONAL_CELLS // (_reach(n) * n))
+    return 2 * sets + 1
 
 
 def unsettled_set(n):
@@ -422,13 +437,19 @@ class TestBand:
 
     @pytest.mark.parametrize("style", ["uniform", "gaussian", "clustered", "duplicates"])
     def test_sizes_around_the_band_edges(self, style):
-        # each batch crosses two chunk boundaries
+        # each batch crosses two chunk boundaries of every scan it takes; the
+        # sizes include the first and the last n where the diagonal band's
+        # reach R(n) steps up, and the n just below each
         width = _BAND_ROWS + 2 * _BAND_REACH
         edge = _BAND_MIN_N
         assert _band(edge - 1)[3] is None and _band(edge)[3] is not None and width < edge
+        steps = [n for n in range(edge + 1, _TREE_MIN_N) if _reach(n) > _reach(n - 1)]
         rng = np.random.default_rng(17)
         for n in (width - 1, width, width + 1, edge - 1, edge, edge + 1, 500, 1023):
-            check_sets(*rand_sets(rng, n, 2 * chunk_sets(n) + 1, style))
+            check_sets(*rand_sets(rng, n, crossing_batch(n), style))
+        for step in (steps[0], steps[-1]):
+            for n in (step - 1, step):
+                check_sets(*rand_sets(rng, n, crossing_batch(n), style))
 
     @pytest.mark.parametrize("n", [255, 511])
     def test_rank_grid_with_equidistant_ties(self, n):
@@ -457,6 +478,36 @@ class TestBand:
         # one scan per row and call, the rows the last tile shares with the
         # tile before scanned once
         assert sum(full_rows) == 2 * n
+
+    def test_first_distances_take_the_diagonal_band(self, monkeypatch):
+        # from _BAND_MIN_N up to the tree, nearest_distances takes the diagonal
+        # band and never the tiles; two_nearest_neighbors keeps the tiles
+        seen = []
+        diagonal, scan = ranks_nn._nearest_diagonal, ranks_nn._nearest_squared
+
+        def spy_diagonal(x, y):
+            seen.append(("diagonal", x.size))
+            return diagonal(x, y)
+
+        def spy_scan(x, y, two):
+            seen.append(("tiles" if _band(x.size)[3] is not None else "whole", x.size, two))
+            return scan(x, y, two)
+
+        monkeypatch.setattr(ranks_nn, "_nearest_diagonal", spy_diagonal)
+        monkeypatch.setattr(ranks_nn, "_nearest_squared", spy_scan)
+        rng = np.random.default_rng(19)
+        for n in (12, _BAND_MIN_N - 1, _BAND_MIN_N, 500, _TREE_MIN_N - 1):
+            nearest_distances(*rand_sets(rng, n, 3, "uniform"))
+        assert seen == [
+            ("whole", 12, False),
+            ("whole", _BAND_MIN_N - 1, False),
+            ("diagonal", _BAND_MIN_N),
+            ("diagonal", 500),
+            ("diagonal", _TREE_MIN_N - 1),
+        ]
+        seen.clear()
+        two_nearest_neighbors(*rand_sets(rng, 500, 3, "uniform"))
+        assert seen == [("tiles", 500, True)]
 
     @pytest.mark.parametrize("two", [False, True])
     def test_each_unsettled_row_scanned_once(self, monkeypatch, two):
@@ -496,7 +547,7 @@ class TestRankFrame:
         # input order. At n + 1 = 2**k the "none" rank points are dyadic and
         # tie equidistantly
         rng = np.random.default_rng(n)
-        m = 2 * chunk_sets(n) + 1 if n > 3 else 999
+        m = crossing_batch(n) if n > 3 else 999
         samples = np.stack([gen_gaussian(n, rho, seed=rng) for rho in np.linspace(0.0, 0.95, m)])
         samples[::2] = np.round(samples[::2], 1)
         samples[::2, 1] = samples[::2, 0]
@@ -536,13 +587,14 @@ class TestLeaveOneOut:
 def test_distance_buffer_starts_on_a_cache_line(m, n, monkeypatch):
     # a scan over a buffer 16 to 48 bytes past a 64-byte boundary ran about
     # 10% slower; every chunk's tile distances and the squared x-gaps added
-    # to them start on one, in the band (n = 500) and in the whole-set scan
+    # to them start on one, in the tiles (n = 500) and in the whole-set scan,
+    # and so do the diagonal band's block and its x-gaps (n = 500)
     starts = []
     squared = ranks_nn._squared
 
     def spy(dx2, yr, yc, out):
-        if out.ndim == 4:  # a chunk's tiles, not a whole-set row scan
-            starts.append((out.ctypes.data % 64, dx2.ctypes.data % 64))
+        if out.ndim >= 3:  # a chunk's tiles or block, not a whole-set row scan
+            starts.append((out.ndim, out.ctypes.data % 64, dx2.ctypes.data % 64))
         return squared(dx2, yr, yc, out)
 
     monkeypatch.setattr(ranks_nn, "_squared", spy)
@@ -550,4 +602,5 @@ def test_distance_buffer_starts_on_a_cache_line(m, n, monkeypatch):
     x, y = np.sort(rng.random(n)), rng.random((m, n))
     nearest_distances(x, y)
     two_nearest_neighbors(x, y)
-    assert starts and set(starts) == {(0, 0)}
+    assert {s[0] for s in starts} == ({3, 4} if n >= _BAND_MIN_N else {4})
+    assert {s[1:] for s in starts} == {(0, 0)}
