@@ -13,14 +13,17 @@ Both procedures estimate many same-size samples through one private
 routine, ``_replicate_etas``, which splits the replicates (one null sample,
 or one outer resample with its inner layer) into blocks of about
 ``BATCH_POINTS`` observations, sized from the sample size and the number of
-samples per replicate alone, never from the thread count. A ``draw``
-callback fills a whole block: it derives the keys of the block's RNG
-substreams in one call and re-keys one generator per block through them
-(see ``rng``), so every replicate still draws from its own substream. Each
-block is one ``estimate_batch`` call, whether the cutoffs are fixed or
-cross-validated, and a batched estimate does not depend on the other
-samples of its batch, so the results do not depend on the blocks or on the
-thread count.
+samples per replicate alone, never from the thread count. The keys of
+every RNG substream a procedure draws from are derived once, in one call
+per path (``null``; ``se0``, ``outer`` and the ``(b, j)`` grid of
+``inner``), before any draw, where an impossible count is refused with the
+estimates' table; they take 16 bytes a sample. A ``draw`` callback fills a
+whole block from its slice of the keys, re-keying one generator per block
+through them (see ``rng``), so every replicate still draws from its own
+substream. Each block is one ``estimate_batch`` call, whether the cutoffs
+are fixed or cross-validated, and a batched estimate does not depend on
+the other samples of its batch, so the results do not depend on the blocks
+or on the thread count.
 ``threads`` maps the blocks over a thread pool. The nearest-neighbour scans
 and most numpy steps release the interpreter lock, but a block's Python
 work and the resample draws hold it: at n = 500 and fixed cutoffs two
@@ -50,7 +53,7 @@ from .errors import (
 )
 from .estimator import BATCH_POINTS, EstimateConfig, EstimateResult, estimate, estimate_batch
 from .ranks_nn import as_sample, column_ranks
-from .rng import _streams, substream
+from .rng import _keys, _streams, substream
 from .version import __version__
 
 _MAGIC = "hellcorr-null-table"
@@ -124,24 +127,27 @@ def _check_significance_args(m, level, seed, threads):
     return m, seed, threads
 
 
-def _replicate_etas(count, size, n, draw, cfg, threads):
+def _replicate_etas(count, size, n, keys, draw, cfg, threads):
     """Etas of count replicates, each of size samples of n points: (count, size).
 
-    ``draw(start, out)`` writes replicates start, start + 1, ... into out, a
-    (block, size, n, 2) array. Each block of replicates is one batched
+    ``keys()`` derives the procedure's substream keys once, a list of arrays
+    whose leading axis is the replicate. ``draw(*block_keys, out)`` writes a
+    block of replicates into out, a (block, size, n, 2) array, from those
+    arrays' rows of the block. Each block of replicates is one batched
     estimate, written into the result in place. The callers have checked
     every argument.
     """
-    try:
+    try:  # the estimates and keys, 24 bytes a sample: refused before any draw, not part way
         etas = np.empty((count, size))
-    except (MemoryError, ValueError) as exc:  # refused before any draw, not part way
+        keys = keys()
+    except (MemoryError, ValueError) as exc:
         raise CapabilityError(f"cannot hold {count} x {size} estimates: {exc}") from None
     per_block = max(1, BATCH_POINTS // (n * size))
 
     def block(start):
         stop = min(start + per_block, count)
         samples = np.empty((stop - start, size, n, 2))
-        draw(start, samples)
+        draw(*(k[start:stop] for k in keys), samples)
         etas[start:stop] = estimate_batch(samples.reshape(-1, n, 2), cfg).reshape(-1, size)
 
     starts = range(0, count, per_block)
@@ -165,11 +171,14 @@ def null_table(n, m, config=None, seed=0, threads=1):
     seed, threads = _integer(seed, "seed", 0), _integer(threads, "threads", 1)
     cfg = config if config is not None else EstimateConfig()
 
-    def draw(start, out):
-        for rng, sample in zip(_streams(seed, "null", np.arange(start, start + len(out))), out):
+    def keys():
+        return [_keys(seed, "null", np.arange(m))]
+
+    def draw(block_keys, out):
+        for rng, sample in zip(_streams(block_keys), out):
             rng.random(out=sample[0])
 
-    draws = np.sort(_replicate_etas(m, 1, n, draw, cfg, threads)[:, 0])
+    draws = np.sort(_replicate_etas(m, 1, n, keys, draw, cfg, threads)[:, 0])
     draws.flags.writeable = False
     return NullTable(n=n, draws=draws, config=cfg, seed=seed)
 
@@ -259,22 +268,26 @@ def bootstrap_ci(sample, level=0.95, b1=1000, b2=100, config=None, seed=0, threa
     fixed = replace(cfg, cutoffs=base.cutoffs)
     ranks0 = column_ranks(arr)[0]
 
-    def draw0(_, out):
-        _beta_copula(ranks0, _streams(seed, "se0", np.arange(b2)), out[0])
+    def keys0():  # the one replicate's b2 streams
+        return [_keys(seed, "se0", np.arange(b2))[None]]
 
-    layer0 = _replicate_etas(1, b2, n, draw0, fixed, threads)
+    def draw0(block_keys, out):
+        _beta_copula(ranks0, _streams(block_keys), out)
+
+    layer0 = _replicate_etas(1, b2, n, keys0, draw0, fixed, threads)
     se0 = float(np.std(layer0[0], ddof=1))
     if se0 == 0.0:
         raise DiagnosticsError("inner resampling scale of the original sample is zero")
 
-    def draw(start, out):
-        b = np.arange(start, start + len(out))
-        _beta_copula(ranks0, _streams(seed, "outer", b), out[:, 0])
-        # the whole block's inner (b, j) grid of substreams, keyed in one call
-        inner = _streams(seed, "inner", b[:, None], np.arange(b2))
-        _beta_copula(column_ranks(out[:, :1])[0], inner, out[:, 1:])
+    def keys():  # each outer replicate b's stream and its inner (b, j) grid
+        b = np.arange(b1)
+        return [_keys(seed, "outer", b), _keys(seed, "inner", b[:, None], np.arange(b2))]
 
-    etas = _replicate_etas(b1, 1 + b2, n, draw, fixed, threads)
+    def draw(outer, inner, out):
+        _beta_copula(ranks0, _streams(outer), out[:, 0])
+        _beta_copula(column_ranks(out[:, :1])[0], _streams(inner), out[:, 1:])
+
+    etas = _replicate_etas(b1, 1 + b2, n, keys, draw, fixed, threads)
     se = np.std(etas[:, 1:], axis=1, ddof=1)
     pivots = (etas[se > 0.0, 0] - base.eta) / se[se > 0.0]
     dropped = b1 - len(pivots)

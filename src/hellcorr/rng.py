@@ -12,11 +12,13 @@ into the pool, each further word (the path's) is mixed into every pool
 word, and the pool is hashed into the two 64-bit key words. A path
 component may be an array of indices below 2**32, one word per stream:
 the words before it are mixed once, as Python ints, and the rest
-elementwise in uint32 arithmetic, so a whole block's keys cost a few numpy
-calls. A stream is its key with the Philox counter at zero: ``substream``
-builds a Philox from its one key, and ``_streams`` re-keys one
-``Philox``/``Generator`` pair in place through the public ``state`` setter
-instead of building a generator per stream of a block. A key-built Philox
+elementwise in uint32 arithmetic, so all the streams of a resampling
+procedure are keyed by a few numpy calls, made once per procedure: 71 us
+for 200 streams, 0.39 ms for 10,000 (2-core VM). A stream is its key with
+the Philox counter at zero: ``substream`` builds a Philox from its one
+key, and ``_streams`` re-keys one ``Philox``/``Generator`` pair in place,
+through the public ``state`` setter, with each key of a block's slice of
+those keys instead of building a generator per stream. A key-built Philox
 has no ``seed_seq``, so ``Generator.spawn`` on a returned stream is
 unsupported; nothing spawns.
 """
@@ -101,17 +103,16 @@ def _keys(seed, *path):
     return np.moveaxis(s[0::2] | (s[1::2] << np.uint64(32)), 0, -1)
 
 
-def _streams(seed, *path):
-    """Yield the Generator of each key of ``_keys(seed, *path)``, in C order.
+def _streams(keys):
+    """Yield the Generator of each key of a (..., 2) array of ``_keys``, in C order.
 
     One Philox is re-keyed in place, its counter and buffer reset, so each
     stream must be used up before the next is taken.
     """
-    keys = _keys(seed, *path).reshape(-1, 2).tolist()
     bitgen = np.random.Philox(key=0)
     state = bitgen.state
     rng = np.random.Generator(bitgen)
-    for key in keys:
+    for key in np.reshape(keys, (-1, 2)).tolist():
         state["state"]["key"] = key
         bitgen.state = state
         yield rng

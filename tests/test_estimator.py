@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hellcorr.estimator as estimator_module
-from hellcorr.basis import design_matrix
+from hellcorr.basis import BATCH_POINTS, design_matrix
 from hellcorr.errors import ConfigError, DegenerateDataError, DomainError, SizeError
 from hellcorr.estimator import (
     EstimateConfig,
@@ -195,6 +195,27 @@ class TestEstimate:
                 estimate_batch(batch, cfg)
             # the other samples alone still estimate
             assert estimate_batch(batch[[0, 1, 3]], cfg).shape == (3,)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_constant_margin_in_a_later_block_refused(self, column):
+        # 20 samples of n = 500 span three blocks of 8; the constant margin is in the last
+        n = 500
+        batch = np.random.default_rng(1).normal(size=(20, n, 2))
+        assert len(batch) > 2 * (BATCH_POINTS // n)
+        batch[-1, :, column] = 0.25
+        for cfg in (EstimateConfig(), EstimateConfig(cutoffs=(1, 1))):
+            with pytest.raises(DegenerateDataError, match="constant"):
+                estimate_batch(batch, cfg)
+
+    @pytest.mark.parametrize("odd", [0, 17, 49])
+    def test_margin_constant_but_for_one_value_estimates(self, odd):
+        rng = np.random.default_rng(odd)
+        batch = rng.normal(size=(3, 50, 2))
+        batch[2, :, 0] = 3.0
+        batch[2, odd, 0] = 3.0 + 2.0**-40
+        etas = estimate_batch(batch, EstimateConfig(cutoffs=(1, 1)))
+        assert etas[2] == estimate(batch[2], EstimateConfig(cutoffs=(1, 1))).eta
+        assert estimate(batch[2]).tie_warning
 
     def test_negative_jitter_seed_refused(self):
         x = gen_gaussian(50, 0.3, seed=7)

@@ -16,7 +16,7 @@ from hellcorr.errors import (
     DomainError,
     SizeError,
 )
-from hellcorr.estimator import BATCH_POINTS, EstimateConfig, estimate
+from hellcorr.estimator import BATCH_POINTS, EstimateConfig, estimate, estimate_batch
 from hellcorr.generators import gen_gaussian
 from hellcorr.inference import (
     NullTable,
@@ -31,7 +31,7 @@ from hellcorr.inference import (
 )
 from hellcorr.inference import _beta_copula
 from hellcorr.ranks_nn import column_ranks, pseudo_observations
-from hellcorr.rng import _streams
+from hellcorr.rng import _keys, _streams, substream
 from oracles import beta_copula, seed_sequence_stream
 from points_nn import nn_of_points
 
@@ -185,13 +185,13 @@ class TestBetaCopulaOracle:
         b, j = np.array([0, 4, 9]), np.arange(5)
         ranks = column_ranks(np.random.default_rng([n, seed]).random((len(b), 1, n, 2)))[0]
         out = np.empty((len(b), len(j), n, 2))
-        _beta_copula(ranks, _streams(seed, "inner", b[:, None], j), out)
+        _beta_copula(ranks, _streams(_keys(seed, "inner", b[:, None], j)), out)
         for u, bb in enumerate(b):
             for v, jj in enumerate(j):
                 ref = beta_copula(ranks[u, 0], n, seed_sequence_stream(seed, "inner", bb, jj))
                 np.testing.assert_array_equal(out[u, v], ref)
         shared = np.empty((len(b), n, 2))
-        _beta_copula(ranks[0, 0], _streams(seed, "outer", b), shared)
+        _beta_copula(ranks[0, 0], _streams(_keys(seed, "outer", b)), shared)
         for u, bb in enumerate(b):
             ref = beta_copula(ranks[0, 0], n, seed_sequence_stream(seed, "outer", bb))
             np.testing.assert_array_equal(shared[u], ref)
@@ -271,6 +271,62 @@ class TestNullTable:
             if estimate(x).eta > crit:
                 hits += 1
         assert 0.03 <= hits / 500 <= 0.07
+
+
+class TestKeysOncePerProcedure:
+    """Each resampling procedure derives its substream keys once, whatever the
+    number of replicates, of blocks and of threads."""
+
+    @pytest.fixture
+    def key_calls(self, monkeypatch):
+        paths = []
+
+        def counted(seed, *path):
+            paths.append(path[0])
+            return _keys(seed, *path)
+
+        monkeypatch.setattr(inference, "_keys", counted)
+        return paths
+
+    # 1, 1, 9 and 9 blocks of 8 sets at n = 500; 15 blocks of 341 at n = 12
+    @pytest.mark.parametrize(
+        "n, m, threads", [(500, 1, 1), (500, 8, 2), (500, 70, 1), (500, 70, 3), (12, 5000, 2)]
+    )
+    def test_null_table_keys_once(self, key_calls, n, m, threads):
+        null_table(n, m, EstimateConfig(cutoffs=(1, 1)), seed=4, threads=threads)
+        assert key_calls == ["null"]
+
+    @pytest.mark.parametrize("b1, b2, threads", [(2, 2, 1), (45, 9, 1), (45, 9, 3), (60, 20, 2)])
+    def test_bootstrap_ci_keys_three_times(self, key_calls, b1, b2, threads):
+        bootstrap_ci(gen_gaussian(40, 0.5, seed=26), b1=b1, b2=b2, seed=27, threads=threads)
+        assert sorted(key_calls) == ["inner", "outer", "se0"]
+
+    def test_keys_that_cannot_be_held_refused_before_any_draw(self, monkeypatch):
+        def no_room(seed, *path):
+            raise MemoryError("no room for the keys")
+
+        def must_not_estimate(*args):
+            raise AssertionError("a block was estimated")
+
+        monkeypatch.setattr(inference, "_keys", no_room)
+        monkeypatch.setattr(inference, "estimate_batch", must_not_estimate)
+        with pytest.raises(CapabilityError, match="cannot hold .*no room for the keys"):
+            null_table(12, 5)
+        with pytest.raises(CapabilityError, match="cannot hold .*no room for the keys"):
+            bootstrap_ci(gen_gaussian(40, 0.5, seed=26), b1=5, b2=3)
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_size_of_the_full_null(n):
+    # R uniform samples, each cross-validated as the table's draws are, tested
+    # at the add-one p-value; the rejection rates at 5% and 10% lie within 3
+    # binomial standard errors of nominal (5.45/10.80% at n = 30, 5.20/10.20% at 100)
+    R = 2000
+    table = null_table(n, 1000, seed=0)
+    x = np.stack([substream(12345, "size", n, r).random((n, 2)) for r in range(R)])
+    p = np.array([p_value(eta, table) for eta in estimate_batch(x, EstimateConfig())])
+    for alpha in (0.05, 0.10):
+        assert abs(np.mean(p <= alpha) - alpha) <= 3 * np.sqrt(alpha * (1 - alpha) / R)
 
 
 class TestSignificance:

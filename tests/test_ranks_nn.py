@@ -230,6 +230,10 @@ class TestPseudoObservations:
         np.testing.assert_array_equal(ranks, stable_ranks(x))
         unique = [any(np.unique(s[:, j]).size < len(s) for j in (0, 1)) for s in x]
         np.testing.assert_array_equal(tie, unique)
+        # one (n, 2) sample, whose tie flag is 0-d
+        ranks, tie = column_ranks(x[0])
+        np.testing.assert_array_equal(ranks, stable_ranks(x[0]))
+        assert tie.ndim == 0 and tie == unique[0]
 
 
 def assert_refuses(scan):

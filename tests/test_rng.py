@@ -81,7 +81,7 @@ def test_streams_are_rekeyed_from_a_clean_state():
     # an odd count of 32-bit draws leaves half a 64-bit word buffered; the
     # next stream must not see it
     idx = np.arange(4)
-    for i, rng in zip(idx, _streams(9, "blk", idx), strict=True):
+    for i, rng in zip(idx, _streams(_keys(9, "blk", idx)), strict=True):
         oracle = seed_sequence_stream(9, "blk", i)
         np.testing.assert_array_equal(rng.integers(0, 5, 3), oracle.integers(0, 5, 3))
         shapes = [2.0, 7.5, 0.5]
