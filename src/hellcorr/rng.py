@@ -14,13 +14,17 @@ component may be an array of indices below 2**32, one word per stream:
 the words before it are mixed once, as Python ints, and the rest
 elementwise in uint32 arithmetic, so all the streams of a resampling
 procedure are keyed by a few numpy calls, made once per procedure: 71 us
-for 200 streams, 0.39 ms for 10,000 (2-core VM). A stream is its key with
-the Philox counter at zero: ``substream`` builds a Philox from its one
-key, and ``_streams`` re-keys one ``Philox``/``Generator`` pair in place,
-through the public ``state`` setter, with each key of a block's slice of
-those keys instead of building a generator per stream. A key-built Philox
-has no ``seed_seq``, so ``Generator.spawn`` on a returned stream is
-unsupported; nothing spawns.
+for 200 streams, 0.39 ms for 10,000 (2-core VM). The two key words are
+written into the result in place, so keying a grid peaks at about 2.5
+times the 16 bytes a key it keeps. A stream is its key with the Philox
+counter at zero: ``substream`` builds a Philox from its one key, and
+``_streams`` re-keys one ``Philox``/``Generator`` pair in place, through
+the public ``state`` setter, with each key of a block's slice of those
+keys instead of building a generator per stream. ``_raw``, ``_integers``
+and ``_streams(keys, raw, words)`` compute a block's ``integers`` draws
+from its streams' raw outputs at once and resume each stream after them.
+A key-built Philox has no ``seed_seq``, so ``Generator.spawn`` on a
+returned stream is unsupported; nothing spawns.
 """
 
 from zlib import crc32
@@ -95,25 +99,94 @@ def _keys(seed, *path):
         for dst in range(_POOL):
             v, h = _hashmix(w, h, _MULT_A)
             pool[dst] = _mix(pool[dst], v)
-    h, state = _INIT_B, []
-    for w in pool:
-        w, h = _hashmix(w, h, _MULT_B)
-        state.append(w)
-    s = np.array(state, dtype=np.uint64)  # (4, ...): every pool word has the leading shape
-    return np.moveaxis(s[0::2] | (s[1::2] << np.uint64(32)), 0, -1)
+    # state words 2i and 2i+1 are key word i's low and high halves, written in
+    # place; each pool word is dropped once hashed, so the peak stays near the keys
+    keys = np.empty(np.broadcast_shapes(*map(np.shape, pool)) + (2,), np.uint64)
+    h = _INIT_B
+    for i in range(_POOL):
+        w, h = _hashmix(pool[i], h, _MULT_B)
+        pool[i] = None
+        if i % 2 == 0:
+            low = w
+        else:
+            keys[..., i // 2] = w
+            keys[..., i // 2] <<= np.uint64(32)
+            keys[..., i // 2] |= low
+    return keys
 
 
-def _streams(keys):
+def _raw(keys, words):
+    """The first outputs of each key's stream that hold its first ``words`` 32-bit words.
+
+    ``keys`` is a (..., 2) array of ``_keys``, taken in C order. A 64-bit
+    output holds two words, and Philox makes its outputs in blocks of 4, so
+    the result is (S, 4 * ceil(words / 8)) uint64: whole blocks, as
+    ``_streams`` needs them. One Philox is re-keyed in place and read with
+    ``random_raw``.
+    """
+    count = 4 * -(-words // 8)
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    keys = np.reshape(keys, (-1, 2))
+    rows = []
+    for key in keys.tolist():
+        state["state"]["key"] = key
+        bitgen.state = state
+        rows.append(bitgen.random_raw(count))
+    return np.array(rows, np.uint64).reshape(len(keys), count)
+
+
+def _integers(raw, n, count):
+    """What ``integers(0, n, count)`` draws from streams whose first outputs are raw.
+
+    For n <= 2**32, numpy maps each 32-bit word w of the stream, the
+    low half of each output first, to (w * n) >> 32 (Lemire's method), and
+    redraws a word whose low 32 bits of w * n lie below (2**32 - n) % n.
+    Returns the (S, count) integers the first count words map to, and a
+    boolean (S,) set for each stream on which numpy would redraw one of
+    them, so that its draws differ from these.
+    """
+    used = (count + 1) // 2
+    words = np.empty((len(raw), used, 2), np.uint64)
+    np.bitwise_and(raw[:, :used], np.uint64(_MASK), out=words[..., 0])
+    np.right_shift(raw[:, :used], np.uint64(32), out=words[..., 1])
+    scaled = words.reshape(len(raw), -1)[:, :count] * np.uint64(n)
+    redo = np.any((scaled & np.uint64(_MASK)) < (2**32 - n) % n, axis=1)
+    return (scaled >> np.uint64(32)).astype(np.intp), redo
+
+
+def _streams(keys, raw=None, words=0):
     """Yield the Generator of each key of a (..., 2) array of ``_keys``, in C order.
 
-    One Philox is re-keyed in place, its counter and buffer reset, so each
-    stream must be used up before the next is taken.
+    One Philox is re-keyed in place, through the public ``state`` setter,
+    so the generator yielded for a key draws from that key's stream only
+    until the next is taken. Each stream starts at its first output, unless
+    ``words`` is given: then it starts in the state ``integers`` leaves it
+    in once it has drawn that many 32-bit words without a redraw, two to an
+    output, low half first. That state (counter, buffer of 4 outputs, high
+    half) is read off the key's row of ``raw``, from ``_raw(keys, words)``.
     """
     bitgen = np.random.Philox(key=0)
     state = bitgen.state
     rng = np.random.Generator(bitgen)
-    for key in np.reshape(keys, (-1, 2)).tolist():
+    keys = np.reshape(keys, (-1, 2)).tolist()
+    if words == 0:
+        for key in keys:
+            state["state"]["key"] = key
+            bitgen.state = state
+            yield rng
+        return
+    used = (words + 1) // 2  # outputs the words take
+    block = -(-used // 4)  # the counter of the block that holds the last of them
+    state["state"]["counter"] = [block, 0, 0, 0]
+    state["buffer_pos"] = used - 4 * (block - 1)
+    state["has_uint32"] = words % 2
+    buffers = raw[:, 4 * (block - 1) : 4 * block].tolist()
+    halves = (raw[:, used - 1] >> np.uint64(32)).tolist()  # buffered, or left behind once read
+    for key, buffer, half in zip(keys, buffers, halves, strict=True):
         state["state"]["key"] = key
+        state["buffer"] = buffer
+        state["uinteger"] = half
         bitgen.state = state
         yield rng
 

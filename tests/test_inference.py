@@ -31,7 +31,7 @@ from hellcorr.inference import (
 )
 from hellcorr.inference import _beta_copula
 from hellcorr.ranks_nn import column_ranks, pseudo_observations
-from hellcorr.rng import _keys, _streams, substream
+from hellcorr.rng import _integers, _keys, substream
 from oracles import beta_copula, seed_sequence_stream
 from points_nn import nn_of_points
 
@@ -149,6 +149,12 @@ class TestBetaCopulaSampling:
         with pytest.raises(ConfigError, match="seed"):
             sample_beta_copula(ranks, 10, seed=-1)
 
+    @pytest.mark.parametrize("n_out", [10**18, 2**40])
+    def test_count_too_large_to_hold_refused(self, n_out):
+        ranks = pseudo_observations(gen_gaussian(20, 0.5, seed=2)).ranks
+        with pytest.raises(CapabilityError, match=f"cannot hold {n_out} draws"):
+            sample_beta_copula(ranks, n_out, 0)
+
     def test_row_resampling_breaks_distances_beta_copula_does_not(self):
         # the estimator needs positive nearest-neighbour distances; drawing
         # rows with replacement creates exact duplicates, which is why the
@@ -185,16 +191,33 @@ class TestBetaCopulaOracle:
         b, j = np.array([0, 4, 9]), np.arange(5)
         ranks = column_ranks(np.random.default_rng([n, seed]).random((len(b), 1, n, 2)))[0]
         out = np.empty((len(b), len(j), n, 2))
-        _beta_copula(ranks, _streams(_keys(seed, "inner", b[:, None], j)), out)
+        _beta_copula(ranks, _keys(seed, "inner", b[:, None], j), out)
         for u, bb in enumerate(b):
             for v, jj in enumerate(j):
                 ref = beta_copula(ranks[u, 0], n, seed_sequence_stream(seed, "inner", bb, jj))
                 np.testing.assert_array_equal(out[u, v], ref)
         shared = np.empty((len(b), n, 2))
-        _beta_copula(ranks[0, 0], _streams(_keys(seed, "outer", b)), shared)
+        _beta_copula(ranks[0, 0], _keys(seed, "outer", b), shared)
         for u, bb in enumerate(b):
             ref = beta_copula(ranks[0, 0], n, seed_sequence_stream(seed, "outer", bb))
             np.testing.assert_array_equal(shared[u], ref)
+
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_streams_flagged_for_redraw_match_oracle(self, n, monkeypatch):
+        # every stream drawing its donors with integers: the path a redraw takes
+        def all_flagged(raw, n, count):
+            donors, redo = _integers(raw, n, count)
+            return donors, np.ones_like(redo)
+
+        monkeypatch.setattr(inference, "_integers", all_flagged)
+        b, j = np.array([0, 4, 9]), np.arange(5)
+        ranks = column_ranks(np.random.default_rng([n, 1]).random((len(b), 1, n, 2)))[0]
+        out = np.empty((len(b), len(j), 2 * n + 1, 2))
+        _beta_copula(ranks, _keys(1, "inner", b[:, None], j), out)
+        for u, bb in enumerate(b):
+            for v, jj in enumerate(j):
+                ref = beta_copula(ranks[u, 0], 2 * n + 1, seed_sequence_stream(1, "inner", bb, jj))
+                np.testing.assert_array_equal(out[u, v], ref)
 
 
 class TestNullTable:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hellcorr.errors import CapabilityError, ConfigError
-from hellcorr.rng import _keys, _streams, substream
+from hellcorr.rng import _integers, _keys, _raw, _streams, substream
 from oracles import seed_sequence_stream
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70 + 5, np.uint32(5)]
@@ -86,6 +88,77 @@ def test_streams_are_rekeyed_from_a_clean_state():
         np.testing.assert_array_equal(rng.integers(0, 5, 3), oracle.integers(0, 5, 3))
         shapes = [2.0, 7.5, 0.5]
         np.testing.assert_array_equal(rng.standard_gamma(shapes), oracle.standard_gamma(shapes))
+
+
+@pytest.mark.parametrize("words, count", [(0, 0), (1, 4), (8, 4), (9, 8), (17, 12)])
+def test_raw_outputs_are_the_streams_first_blocks(words, count):
+    keys = _keys(4, "raw", np.arange(3))
+    raw = _raw(keys, words)
+    assert raw.shape == (3, count) and raw.dtype == np.uint64
+    for key, row in zip(keys, raw, strict=True):
+        np.testing.assert_array_equal(row, np.random.Philox(key=key).random_raw(count))
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 100])
+@pytest.mark.parametrize("count", [1, 2, 11, 12, 100, 101])
+def test_integers_match_generator(n, count):
+    keys = _keys(17, "donors", np.arange(8))
+    donors, redo = _integers(_raw(keys, count), n, count)
+    assert donors.shape == (8, count) and not redo.any()
+    for key, row in zip(keys, donors, strict=True):
+        oracle = np.random.Generator(np.random.Philox(key=key)).integers(0, n, count)
+        np.testing.assert_array_equal(row, oracle)
+
+
+# numpy redraws about half of all words at n = 2**31 + 1 and a quarter at
+# 3 * 2**30; a redraw takes further words, which the stream's state counts
+@pytest.mark.parametrize("n", [2**31 + 1, 3 * 2**30])
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_integers_flag_every_redraw(n, count):
+    keys = _keys(19, "redraw", np.arange(64))
+    donors, redo = _integers(_raw(keys, count), n, count)
+    assert redo.any() and not redo.all()
+    for key, row, flagged in zip(keys, donors, redo, strict=True):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        oracle = rng.integers(0, n, count)
+        state = rng.bit_generator.state
+        drawn = 2 * (4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]) - state["has_uint32"]
+        assert flagged == (drawn > count)
+        if not flagged:
+            np.testing.assert_array_equal(row, oracle)
+
+
+@pytest.mark.parametrize("words", range(10))
+def test_streams_resume_where_integers_leaves_them(words):
+    # past its first words a stream's state is the one integers leaves it in,
+    # the buffered high half of an odd count included, and so are its draws
+    keys = _keys(5, "resume", np.arange(3))
+    for key, rng in zip(keys, _streams(keys, _raw(keys, words), words), strict=True):
+        oracle = np.random.Generator(np.random.Philox(key=key))
+        oracle.integers(0, 12, words)
+        ours, theirs = rng.bit_generator.state, oracle.bit_generator.state
+        for name in ("counter", "key"):
+            np.testing.assert_array_equal(ours["state"][name], theirs["state"][name])
+        np.testing.assert_array_equal(ours["buffer"], theirs["buffer"])
+        for name in ("buffer_pos", "has_uint32", "uinteger"):
+            assert ours[name] == theirs[name]
+        np.testing.assert_array_equal(rng.integers(0, 5, 3), oracle.integers(0, 5, 3))
+        np.testing.assert_array_equal(rng.standard_gamma([2.0, 7.5]), oracle.standard_gamma([2.0, 7.5]))
+
+
+def test_keys_peak_memory_stays_near_the_keys():
+    # the (b, j) grid of a 1,000 x 1,000 double bootstrap: 16 MB of keys
+    b = np.arange(1000)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        keys = _keys(0, "inner", b[:, None], b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert keys.shape == (1000, 1000, 2)
+    assert peak <= 3 * keys.nbytes
 
 
 @pytest.mark.parametrize("idx", [np.array([0, 2**32]), np.array([2**40])], ids=["2**32", "2**40"])
