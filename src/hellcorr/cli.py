@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import reproduce
-from .errors import CapabilityError, ConfigError, DiagnosticsError, HellcorrError, SizeError
+from .errors import ConfigError, DiagnosticsError, HellcorrError, SizeError
 from .estimator import _TRANSFORMS, EstimateConfig, estimate, pearson
 from .generators import GeneratorSpec
 from .inference import _check_ci_args, _check_significance_args, bootstrap_ci, significance
@@ -117,15 +117,9 @@ def _get_sample(args):
         arr, source = load_table_file(args.input), args.input
     else:
         spec, source = GeneratorSpec.parse(args.generator), args.generator
-        if args.n < 3:  # numpy refuses a negative size with a bare ValueError
+        if args.n < 3:
             raise SizeError(f"need at least 3 observations, got --n {args.n}")
-        try:
-            arr = spec.generate(args.n, args.seed)
-        except (MemoryError, ValueError) as exc:
-            if isinstance(exc, HellcorrError):  # the family's own domain or parameter check
-                raise
-            # numpy refuses a size past the address space or the free memory
-            raise CapabilityError(f"cannot draw --n {args.n} points: {exc}") from None
+        arr = spec.generate(args.n, args.seed)
     if arr.shape[0] < 3:
         raise SizeError(f"need at least 3 observations, got {arr.shape[0]}")
     return arr, source

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import BATCH_POINTS, MAX_DEGREE, design_at, tensor_sums
-from .cv import CvResult, select_cutoffs
+from .cv import CvResult, cutoff_grid, select_cutoffs
 from .errors import ConfigError, DegenerateDataError, DomainError, _integer
 from .ranks_nn import (
     TwoNearest, as_sample, as_samples, column_ranks, nearest_distances, pseudo_observations,
@@ -227,9 +227,9 @@ def _estimate_core(ranks, cfg):
         nn = _nearest(ranks, coord, True)
         cv = select_cutoffs(ranks, nn, cfg.kmax, cfg.lmax, weights=wts)
         cutoffs = cv.best
-        k, l = np.ogrid[: cfg.kmax + 1, : cfg.lmax + 1]
-        K, L = np.reshape(cutoffs, (-1, 2)).T[..., None, None]
-        beta = np.where((k <= K) & (l <= L), cv.beta, 0.0)
+        K, L = np.reshape(cutoffs, (-1, 2)).T
+        *_, corners = cutoff_grid(cfg.kmax, cfg.lmax)
+        beta = np.where(corners[K, L], cv.beta, 0.0)
     else:
         cv = None
         cutoffs = [cfg.cutoffs] * len(ranks)

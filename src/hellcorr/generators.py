@@ -12,12 +12,14 @@ so the resulting estimates land near the reference values at n = 500, and
 comparisons against those values should use loose tolerances.
 """
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SizeError, _integer
+from .errors import CapabilityError, ConfigError, DomainError, HellcorrError, SizeError, _integer
 from .rng import substream
 
 # scenario -> Gaussian noise level, tuned against the n=500 reference runs, in
@@ -45,6 +47,24 @@ _PEANO_MAX_D = 8
 _CROSS_MAX_D = 6
 
 
+def _drawn(gen):
+    """gen, refusing a point count that numpy cannot hold with CapabilityError
+    in place of numpy's bare MemoryError or ValueError; the family's own checks
+    raise as they are."""
+
+    @functools.wraps(gen)
+    def draw(*args, **kwargs):
+        try:
+            return gen(*args, **kwargs)
+        except HellcorrError:
+            raise
+        except (MemoryError, ValueError) as exc:
+            n = inspect.signature(gen).bind(*args, **kwargs).arguments["n"]
+            raise CapabilityError(f"cannot draw {n} points: {exc}") from None
+
+    return draw
+
+
 def _rng_for(n, seed, tag):
     _integer(n, "n", 0, error=SizeError)
     return seed if isinstance(seed, np.random.Generator) else substream(seed, tag)
@@ -63,6 +83,7 @@ def canonical_scenario(name):
     raise ConfigError(f"unknown scenario {name!r}")
 
 
+@_drawn
 def gen_gaussian(n, rho, seed):
     """Bivariate Gaussian sample with correlation rho."""
     if not -1.0 < rho < 1.0:
@@ -144,6 +165,7 @@ def _scenario_points(name, n, rng):
     return np.column_stack((x, y))
 
 
+@_drawn
 def gen_scenario(name, n, seed):
     """Sample one of the fifteen reference shape scenarios."""
     disp = canonical_scenario(name)
@@ -151,6 +173,7 @@ def gen_scenario(name, n, seed):
     return _scenario_points(disp, n, rng)
 
 
+@_drawn
 def gen_peano(n, d, seed):
     """Uniform sample on the resolution-d Peano curve approximant.
 
@@ -191,6 +214,7 @@ def gen_peano(n, d, seed):
     return np.column_stack((x, y))
 
 
+@_drawn
 def gen_cross(n, d, seed):
     """Uniform sample on the resolution-d bisection expanding cross.
 
@@ -222,6 +246,7 @@ def _check_block(a, m):
     _integer(m, "m", 1, error=DomainError)
 
 
+@_drawn
 def gen_block_copula(n, a, m, seed):
     """Sample the block copula with lower uniform square and m diagonal blocks.
 

@@ -33,6 +33,14 @@ transposed copy of each row's 2 R(n) candidates reduced the same way took
 two nearest neighbours are equidistant the paths may name different
 neighbours; the cross-validation term that reads the index is then
 multiplied by second - first = 0.
+
+Both band layouts and the whole-set scan read their x tables from a cache
+per x row, keyed by its bytes: ``_tiles`` holds the squared x-gaps of the
+tiles (or of the whole set), inf at each row's own column, and each row's
+gap to the first rank outside its tile's band; ``_diagonal`` the diagonal
+band's gaps. The tables are read-only, and a call does only y work. Each
+sample size has one x row per transform, so an x row comes back on every
+call at its n.
 """
 
 import math
@@ -54,11 +62,15 @@ from .rng import substream
 # import scipy.spatial
 _TREE_MIN_N = 1024
 # distance cells one step of the full scan holds, where one tile spans each
-# set: the size of a single n = 512 scan
+# set: the size of a single n = 512 scan. Also the float cells of the one
+# buffer a tiled or whole-set scan allocates, whatever n and the batch size:
+# with a buffer of the step's size glibc trimmed and regrew the heap on every
+# 8-set block of a cross-validated null_table(500, 48), which took about 3,300
+# minor page faults per call against 0, and about 1.2x the time
 _BRUTE_CELLS = 1 << 18
-# distance cells one banded step holds, and one step of whole-set rows: one
-# n = 500 set. On study-n500 a step of 1 << 18 cells (four sets) ran no
-# faster and left peak RSS at 57 MB against 48 MB with this size
+# distance cells one banded step holds: one n = 500 set. On study-n500 a step
+# of 1 << 18 cells (four sets) ran no faster and left peak RSS at 57 MB
+# against 48 MB with this size
 _BAND_CELLS = 1 << 16
 # the band: tiles of _BAND_ROWS consecutive x-ranks, each compared with the
 # columns up to _BAND_REACH ranks to either side. At 16/48 the scan took
@@ -233,33 +245,45 @@ def _reduce(sq, two):
     return (v.reshape(sq.shape[:-1]) for v in (at[1], first, flat.min(axis=1)))
 
 
+@lru_cache(maxsize=4)
+def _tiles(xb):
+    """The x tables of the tiled or whole-set scan over the x row whose bytes
+    are xb: the (T, B, C) squared x-gaps of each tile's rows to its columns,
+    inf at each row's own column, and, from _BAND_MIN_N up, the (T, B) squared
+    x-gap of each row to the first column outside its tile's band on either
+    side, else None. Read-only: 0.46 MB at n = 500, 0.92 MB at n = 1023."""
+    x = np.frombuffer(xb)
+    r, c, own, below, above = _band(x.size)
+    xr = x.take(r)
+    # on a 64-byte boundary, as the tiles it is added to: at n = 500 an
+    # estimate ran about 10% slower with the tiles 16, 32 or 48 bytes past one
+    dx2 = _aligned(own.size * c.shape[1]).reshape(*r.shape, c.shape[1])
+    _x_squared(xr[..., None], x.take(c)[:, None], dx2).reshape(-1)[own] = np.inf
+    dx2.flags.writeable = False
+    if below is None:
+        return dx2, None
+    # fl is monotone, so no column past the first outside the band is nearer
+    lo = np.where(below < 0, -np.inf, x.take(below))[:, None]
+    hi = np.where(above < 0, np.inf, x.take(above))[:, None]
+    gap = np.minimum((xr - lo) ** 2, (hi - xr) ** 2)
+    gap.flags.writeable = False
+    return dx2, gap
+
+
 def _nearest_squared(x, y, two):
     """The tiled or whole-set scan of the m sets of points (x[i], y[s, i]),
     x (n,) and y (m, n): each point's nearest neighbour's index (None unless
     two) and its squared first and, if two, second nearest-neighbour distance,
-    stacked (1 + two, m, n). The x work runs once per call; each chunk works
-    on y. The tiles, from _BAND_MIN_N up, serve two only."""
+    stacked (1 + two, m, n). The x tables come from ``_tiles``; each chunk
+    works on y. The tiles, from _BAND_MIN_N up, serve two only."""
     m, n = y.shape
-    r, c, own, below, above = _band(n)
-    cells = own.size * c.shape[1]
-    step = max(1, min(m, (_BRUTE_CELLS if below is None else _BAND_CELLS) // cells))
-    # start the tiles on a 64-byte boundary: at n = 500 an estimate ran about
-    # 10% slower with them 16, 32 or 48 bytes past one, wherever malloc put
-    # them. The x-gaps added to every tile follow in the same buffer, on a
-    # boundary of their own
-    lead = -(-step * cells // 8) * 8
-    work = _aligned(lead + cells)
-    tiles = work[: step * cells].reshape(step, *r.shape, c.shape[1])
-    xr = x.take(r)
-    dx2 = work[lead:].reshape(tiles.shape[1:])
-    _x_squared(xr[..., None], x.take(c)[:, None], dx2)
-    dx2.reshape(-1)[own] = np.inf
-    if below is not None:
-        # squared x-gap from each row to the first column outside its tile's
-        # band on either side: fl is monotone, so no column past it is nearer
-        lo = np.where(below < 0, -np.inf, x.take(below))[:, None]
-        hi = np.where(above < 0, np.inf, x.take(above))[:, None]
-        gap = np.minimum((xr - lo) ** 2, (hi - xr) ** 2)
+    r, c = _band(n)[:2]
+    dx2, gap = _tiles(x.tobytes())
+    cells = dx2.size
+    step = max(1, min(m, (_BRUTE_CELLS if gap is None else _BAND_CELLS) // cells))
+    work = _aligned(_BRUTE_CELLS)
+    tiles = work[: step * cells].reshape(step, *dx2.shape)
+    if gap is not None:
         settled = np.empty((m, *r.shape), dtype=bool)
     idx1 = np.empty((m, n), dtype=np.intp) if two else None
     d = np.empty((1 + two, m, n))
@@ -273,10 +297,10 @@ def _nearest_squared(x, y, two):
         if two:
             d[1][a : a + k, r] = second
             idx1[a : a + k, r] = pos + c[:, :1]
-        if below is not None:
+        if gap is not None:
             # settled: the gap exceeds the band's second distance
             np.greater(gap, second, out=settled[a : a + k])
-    if below is None:
+    if gap is None:
         return idx1, d
     # every row the band did not settle scans its whole set, once. The last
     # tile starts at n - _BAND_ROWS, so it shares its first rows with the tile

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hellcorr.basis import design_matrix
-from hellcorr.cv import _corner_sums, admissible, select_cutoffs
+from hellcorr.cv import _corner_sums, admissible, cutoff_grid, select_cutoffs
 from hellcorr.errors import ConfigError, SizeError
 from hellcorr.estimator import beta_hat_table
 from hellcorr.generators import gen_gaussian
@@ -98,6 +98,24 @@ def test_selection_is_admissible_argmin_with_tie_preference():
                 best, best_score = (K, L), res.scores[K, L]
     assert res.best == best
     assert admissible(*res.best, 5, 5)
+
+
+@pytest.mark.parametrize("kmax, lmax", [(0, 0), (0, 4), (4, 0), (1, 1), (5, 5), (20, 20)])
+def test_cutoff_grid_is_the_enumerated_preference_order(kmax, lmax):
+    # admissible pairs only; ties prefer the smaller K + L, then the smaller K.
+    # The grid is cached per (kmax, lmax), so its arrays are read-only
+    pairs, ks, ls, corners = cutoff_grid(kmax, lmax)
+    grid = [(K, L) for K in range(kmax + 1) for L in range(lmax + 1)]
+    want = sorted((p for p in grid if admissible(*p, kmax, lmax)), key=lambda p: (sum(p), p[0]))
+    assert pairs == tuple(want)
+    assert (ks.tolist(), ls.tolist()) == ([K for K, _ in want], [L for _, L in want])
+    assert corners.shape == (kmax + 1, lmax + 1, kmax + 1, lmax + 1)
+    for K, L in grid:
+        corner = np.zeros((kmax + 1, lmax + 1), dtype=bool)
+        corner[: K + 1, : L + 1] = True
+        np.testing.assert_array_equal(corners[K, L], corner)
+    assert not any(a.flags.writeable for a in (ks, ls, corners))
+    assert cutoff_grid(kmax, lmax) is cutoff_grid(kmax, lmax)
 
 
 def test_admissibility_rule():

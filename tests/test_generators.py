@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hellcorr.errors import ConfigError, DomainError
+from hellcorr.errors import CapabilityError, ConfigError, DomainError
 from hellcorr.generators import (
     SCENARIOS,
     GeneratorSpec,
@@ -168,6 +168,33 @@ class TestBlockCopula:
             gen_block_copula(10, 0.5, 0, seed=0)
         with pytest.raises(DomainError):
             block_copula_mi(1.2, 2)
+
+
+class TestPointCount:
+    # 10**18 points lie past the address space, so numpy refuses them before allocating
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: gen_gaussian(10**18, 0.5, 0),
+            lambda: gen_peano(10**18, 3, 0),
+            lambda: gen_scenario("W", 10**18, 0),
+        ],
+        ids=["gaussian", "peano", "scenario"],
+    )
+    def test_count_too_large_to_hold_is_a_capability_error(self, draw):
+        with pytest.raises(CapabilityError, match=f"cannot draw {10**18} points"):
+            draw()
+
+    def test_family_checks_raise_unchanged(self):
+        # the guard passes the family's own refusals through as they are
+        for draw, error in [
+            (lambda: gen_gaussian(10**18, 2.0, 0), DomainError),
+            (lambda: gen_peano(10**18, 9, 0), ConfigError),
+            (lambda: gen_block_copula(n=10**18, a=0.5, m=0, seed=0), DomainError),
+        ]:
+            with pytest.raises(error) as exc:
+                draw()
+            assert type(exc.value) is error
 
 
 # spec text -> the direct gen_* call it must reproduce bit for bit, one or more per family

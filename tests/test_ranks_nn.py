@@ -8,7 +8,7 @@ from scipy.stats import rankdata
 
 from hellcorr import ranks_nn
 from hellcorr.cv import select_cutoffs
-from hellcorr.estimator import _nearest, _rank_coordinates, estimate
+from hellcorr.estimator import EstimateConfig, _nearest, _rank_coordinates, estimate
 from hellcorr.errors import SizeError
 from hellcorr.generators import gen_gaussian
 from hellcorr.ranks_nn import (
@@ -530,6 +530,57 @@ class TestBand:
         monkeypatch.setattr(ranks_nn, "_squared", spy)
         (two_nearest_neighbors if two else nearest_distances)(*unsettled_set(n))
         assert sum(rows) == n
+
+
+class TestXTables:
+    """The x tables of the tiles and the whole-set scan, cached per x row."""
+
+    @pytest.mark.parametrize("n", [12, _BAND_MIN_N, 500, _TREE_MIN_N - 1])
+    def test_second_estimate_of_an_n_hits_the_cache(self, n):
+        first, second = (gen_gaussian(n, 0.5, seed=s) for s in (1, 2))
+        estimate(first)
+        before = ranks_nn._tiles.cache_info()
+        estimate(second)
+        after = ranks_nn._tiles.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    @pytest.mark.parametrize("n", [12, _BAND_MIN_N - 1, _BAND_MIN_N, 500])
+    def test_cached_tables_are_read_only(self, n):
+        x = (np.arange(1, n + 1) / (n + 1.0)).tobytes()
+        tables = [t for t in ranks_nn._tiles(x) if t is not None]
+        if n >= _BAND_MIN_N:
+            tables += ranks_nn._diagonal(x)[1:]
+        assert len(tables) == (1 if n < _BAND_MIN_N else 4)
+        for t in tables:
+            assert not t.flags.writeable
+            with pytest.raises(ValueError):
+                t.reshape(-1)[0] = 0.0
+
+    def test_transforms_take_their_own_entries_and_match_a_cold_process(self):
+        # the "none" and Beta(6,6) rows of one n are two entries; estimates
+        # that read them warm equal a fresh process's, bit for bit
+        n = 500
+
+        def run(transforms):
+            for t in transforms:
+                res = estimate(gen_gaussian(n, 0.6, seed=4), EstimateConfig(transform=t))
+                yield [res.eta, res.b_raw, res.cutoffs, res.cv.scores.tolist(), res.cv.beta.tolist()]
+
+        ranks_nn._tiles.cache_clear()
+        warm = list(run(["none", "beta66", "none", "beta66"]))
+        info = ranks_nn._tiles.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+        assert warm[0] == warm[2] and warm[1] == warm[3] and warm[0] != warm[1]
+        code = (
+            "import numpy as np\n"
+            "from hellcorr import EstimateConfig, estimate, gen_gaussian\n"
+            "for t in ('beta66', 'none'):\n"
+            f"    res = estimate(gen_gaussian({n}, 0.6, seed=4), EstimateConfig(transform=t))\n"
+            "    print(repr([res.eta, res.b_raw, res.cutoffs, res.cv.scores.tolist(), res.cv.beta.tolist()]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [repr(warm[1]), repr(warm[0])]
 
 
 class TestRankFrame:
