@@ -16,6 +16,8 @@ MAX_DEGREE = 20
 # observations one batched step holds: the block size of estimate_batch and of the
 # resampling procedures, and the rows of a tensor_sums step; temporaries stay near 1 MB
 BATCH_POINTS = 1 << 12
+# product cells a tensor_sums step holds: at bound 20 and n = 4,096 a call peaked at 5.6 MB
+_PRODUCT_CELLS = 1 << 18
 
 
 def _check_unit(u):
@@ -78,7 +80,8 @@ def tensor_sums(weights, P, Q):
     """Table sum_i weights[i] P[i, k] Q[i, l] of shape (..., K+1, L+1).
 
     weights is (..., n), P (..., n, K+1) and Q (..., n, L+1). A step takes up to
-    BATCH_POINTS rows of every sample; ``estimate_batch``'s blocks bound the batch.
+    BATCH_POINTS rows of every sample, and the rows k of the table whose products
+    fit in _PRODUCT_CELLS cells; ``estimate_batch``'s blocks bound the batch.
     Each entry adds its terms in an order fixed by n alone, so it does not depend
     on the other samples of a batch, the table's size or its place in the table.
     """
@@ -90,7 +93,9 @@ def tensor_sums(weights, P, Q):
         # factor values degree first, so that each entry sums a contiguous row
         p = np.ascontiguousarray(P[:, i : i + BATCH_POINTS].transpose(0, 2, 1))
         q = np.ascontiguousarray(Q[:, i : i + BATCH_POINTS].transpose(0, 2, 1))
-        prod = (p[:, :, None, :] * q[:, None, :, :]).reshape(len(p), kp * lp, -1)
-        out += np.einsum("mi,mci->mc", w[:, i : i + BATCH_POINTS], prod)
+        per = max(1, _PRODUCT_CELLS // q.size)  # rows k of the table a step takes
+        for k in range(0, kp, per):
+            prod = (p[:, k : k + per, None, :] * q[:, None, :, :]).reshape(len(p), -1, q.shape[-1])
+            out[:, k * lp : (k + per) * lp] += np.einsum("mi,mci->mc", w[:, i : i + BATCH_POINTS], prod)
     return out.reshape((*batch, kp, lp))
 

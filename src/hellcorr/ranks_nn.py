@@ -10,29 +10,30 @@ the package that loads scipy, so inputs below the cutoff never import it.
 
 Both take every set in its rank frame: one non-decreasing row x of n
 coordinates that every set shares, the coordinates of the ranks 1..n, and
-each set's y coordinates in x-rank order. Below the tree, a set of fewer than
-_BAND_MIN_N points is scanned whole; from there up, each answer has a band of
-its own. Every squared distance is dx * dx + dy * dy of the same operands as
-a full scan's, and d2(i, j) = d2(j, i) bit for bit. Rounding is monotone, so
-no point past a row's band lies nearer than the x-gap to the first rank
-outside it: a row whose band bound is below that gap squared is settled, and
-every other row scans its whole set, through one routine for both bands.
+each set's y coordinates in x-rank order. Below the tree each answer has a
+layout of its own. Every squared distance is dx * dx + dy * dy of the same
+operands as a full scan's, and d2(i, j) = d2(j, i) bit for bit. Rounding is
+monotone, so no point past a row's band lies nearer than the x-gap to the
+first rank outside it: a row whose band bound is below that gap squared is
+settled, and every other row scans its whole set, through one routine for
+both layouts.
 
 ``nearest_distances``, which is all fixed cutoffs need, takes the diagonal
-band: it computes d2(i, i + 1 + delta) for delta < R(n) once per pair, in a
-delta-major block, and reduces the block, and a skewed view of it for the
-pairs below the diagonal, across contiguous rows. Its bound is the band's
-first distance. ``two_nearest_neighbors``, which keeps the first's index and
-both distances for cross-validation, takes the tiles: each tile of
-_BAND_ROWS consecutive x-ranks is compared with the columns up to
-_BAND_REACH ranks to either side of it, so that every row's candidates lie
-along a last axis, where an argmin and a second least are one reduction
-each; its bound is the band's second distance. On the diagonal layout, a
-transposed copy of each row's 2 R(n) candidates reduced the same way took
-1.3-1.6x the tiles' time per set at n = 168-1023 (2-core VM). Where a point's
-two nearest neighbours are equidistant the paths may name different
-neighbours; the cross-validation term that reads the index is then
-multiplied by second - first = 0.
+band at every n below the tree (0.16-0.76x a whole-set scan's time per batch
+of sets at n = 12-167, 2-core VM): it computes d2(i, i + 1 + delta) for
+delta < R(n) once per pair, in a delta-major block, and reduces the block,
+and a skewed view of it for the pairs below the diagonal, across contiguous
+rows. Its bound is the band's first distance. ``two_nearest_neighbors``,
+which keeps the first's index and both distances for cross-validation, takes
+the tiles, one spanning each set below _BAND_MIN_N: each tile of _BAND_ROWS
+consecutive x-ranks is compared with the columns up to _BAND_REACH ranks to
+either side of it, so that every row's candidates lie along a last axis,
+where an argmin and a second least are one reduction each; its bound is the
+band's second distance. On the diagonal layout, a transposed copy of each
+row's 2 R(n) candidates reduced the same way took 1.3-1.6x the tiles' time
+per set at n = 168-1023 (2-core VM). Where a point's two nearest neighbours
+are equidistant the paths may name different neighbours; the cross-validation
+term that reads the index is then multiplied by second - first = 0.
 
 Both band layouts and the whole-set scan read their x tables from a cache
 per x row, keyed by its bytes: ``_tiles`` holds the squared x-gaps of the
@@ -43,12 +44,12 @@ sample size has one x row per transform, so an x row comes back on every
 call at its n.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import SizeError
 from .rng import substream
@@ -211,7 +212,7 @@ def _band(n):
 def _aligned(cells):
     """An empty float buffer of cells cells that starts on a 64-byte boundary."""
     raw = np.empty(cells + 8)
-    skip = (-raw.ctypes.data % 64) // 8
+    skip = (-ctypes.addressof(ctypes.c_char.from_buffer(raw)) % 64) // 8  # 0.8 us less than raw.ctypes.data
     return raw[skip : skip + cells]
 
 
@@ -270,12 +271,11 @@ def _tiles(xb):
     return dx2, gap
 
 
-def _nearest_squared(x, y, two):
+def _nearest_squared(x, y):
     """The tiled or whole-set scan of the m sets of points (x[i], y[s, i]),
-    x (n,) and y (m, n): each point's nearest neighbour's index (None unless
-    two) and its squared first and, if two, second nearest-neighbour distance,
-    stacked (1 + two, m, n). The x tables come from ``_tiles``; each chunk
-    works on y. The tiles, from _BAND_MIN_N up, serve two only."""
+    x (n,) and y (m, n): each point's nearest neighbour's index and its
+    squared first and second nearest-neighbour distances, stacked (2, m, n).
+    The x tables come from ``_tiles``; each chunk works on y."""
     m, n = y.shape
     r, c = _band(n)[:2]
     dx2, gap = _tiles(x.tobytes())
@@ -285,18 +285,15 @@ def _nearest_squared(x, y, two):
     tiles = work[: step * cells].reshape(step, *dx2.shape)
     if gap is not None:
         settled = np.empty((m, *r.shape), dtype=bool)
-    idx1 = np.empty((m, n), dtype=np.intp) if two else None
-    d = np.empty((1 + two, m, n))
+    idx1 = np.empty((m, n), dtype=np.intp)
+    d = np.empty((2, m, n))
     for a in range(0, m, step):
         k = min(step, m - a)
         ya = y[a : a + k]
         yr, yc = ya.take(r, axis=1)[..., None], ya.take(c, axis=1)[:, :, None, :]
-        d2 = _squared(dx2, yr, yc, tiles[:k])
-        pos, first, second = _reduce(d2, two)
-        d[0][a : a + k, r] = first
-        if two:
-            d[1][a : a + k, r] = second
-            idx1[a : a + k, r] = pos + c[:, :1]
+        pos, first, second = _reduce(_squared(dx2, yr, yc, tiles[:k]), True)
+        d[0][a : a + k, r], d[1][a : a + k, r] = first, second
+        idx1[a : a + k, r] = pos + c[:, :1]
         if gap is not None:
             # settled: the gap exceeds the band's second distance
             np.greater(gap, second, out=settled[a : a + k])
@@ -335,8 +332,9 @@ def _scan_rows(x, y, s_all, p_all, d, idx1, work):
 
 
 def _reach(n):
-    """R(n), the reach of the diagonal band over n points."""
-    return math.ceil(_DIAGONAL_SCALE * math.sqrt(n))
+    """R(n), the reach of the diagonal band over n points; from n = 6 down it is
+    n - 1, every pair (R(3) = 4 took 1.6x the time per batch, 2-core VM)."""
+    return min(n - 1, math.ceil(_DIAGONAL_SCALE * math.sqrt(n)))
 
 
 @lru_cache(maxsize=4)
@@ -359,7 +357,7 @@ def _diagonal(xb):
 
 def _nearest_diagonal(x, y):
     """Squared nearest-neighbour distances, stacked (1, m, n), of the m sets
-    of points (x[i], y[s, i]) from n = _BAND_MIN_N up: the diagonal band.
+    of points (x[i], y[s, i]) below the tree: the diagonal band.
 
     Each chunk computes d2(i, i + 1 + delta) for delta < R once per pair, into
     a contiguous (sets, R, n) block: y less a sliding window of y, squared,
@@ -378,20 +376,22 @@ def _nearest_diagonal(x, y):
     work = _aligned(_DIAGONAL_CELLS)
     block = work[: step * reach * n].reshape(step, reach, n)
     st, sr, sc = block.strides
-    back = as_strided(block, shape=(step, reach, n - 1), strides=(st, sr - sc, sc), writeable=False)
-    # y[s, i + 1 + delta], any finite value past the last row, where the x-gap
-    # is inf; as_strided, not sliding_window_view: 5 against 12 us a call
-    ypad = np.zeros((m, n + reach))
-    ypad[:, :n] = y
-    ahead = as_strided(ypad[:, 1:], shape=(m, reach, n), strides=(ypad.strides[0], sc, sc), writeable=False)
+    back = np.ndarray((step, reach, n - 1), buffer=block, strides=(st, sr - sc, sc))
+    # y[s, i + 1 + delta], and 0 past the last row, where the x-gap is inf
+    ypad = np.zeros((m, n - 1 + reach))
+    ypad[:, : n - 1] = y[:, 1:]
+    ahead = np.ndarray((m, reach, n), buffer=ypad, strides=(ypad.strides[0], sc, sc))
+    # read-only ndarrays over the buffers: 1.4-1.8 against 4.5-4.8 us a view for as_strided
+    back.flags.writeable = ahead.flags.writeable = False
     d = np.empty((1, m, n))
     for a in range(0, m, step):
         k = min(step, m - a)
         first = d[0, a : a + k]
         _squared(dx2, y[a : a + k, None], ahead[a : a + k], block[:k]).min(axis=1, out=first)
         np.minimum(first[:, 1:], back[:k].min(axis=1), out=first[:, 1:])
-    s, p = np.nonzero(gap <= d[0])  # unsettled: a row past the band may be nearer
-    _scan_rows(x, y, s, p, d, None, work)
+    s, p = (gap <= d[0]).nonzero()  # unsettled: a row past the band may be nearer
+    if p.size:
+        _scan_rows(x, y, s, p, d, None, work)
     return d
 
 
@@ -435,7 +435,7 @@ def two_nearest_neighbors(x, y):
         for s, y_s in enumerate(ys):
             idx1[s], d1[s], d2[s] = _two_nearest_tree(np.column_stack([xs, y_s]))
     else:
-        idx1, sq = _nearest_squared(xs, ys, True)
+        idx1, sq = _nearest_squared(xs, ys)
         d1, d2 = np.sqrt(sq)
     return TwoNearest(*(a.reshape(np.shape(y)) for a in (idx1, d1, d2)))
 
@@ -447,5 +447,4 @@ def nearest_distances(x, y):
     xs, ys = _scan_input(x, y)
     if xs.size >= _TREE_MIN_N:
         return two_nearest_neighbors(xs, y).values
-    sq = _nearest_diagonal(xs, ys) if xs.size >= _BAND_MIN_N else _nearest_squared(xs, ys, False)[1]
-    return np.sqrt(sq[0]).reshape(np.shape(y))
+    return np.sqrt(_nearest_diagonal(xs, ys)[0]).reshape(np.shape(y))

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import eval_sh_legendre
 
-from hellcorr.basis import MAX_DEGREE, _rank_table, design_at, design_matrix
+from hellcorr.basis import _PRODUCT_CELLS, MAX_DEGREE, _rank_table, design_at, design_matrix, tensor_sums
 from hellcorr.errors import CapabilityError, DomainError
 
 
@@ -79,3 +81,25 @@ def test_basis_eval_scalar_and_row():
 @given(st.floats(0.0, 1.0), st.integers(0, MAX_DEGREE))
 def test_bounded_by_sqrt_2k_plus_1(u, k):
     assert abs(design_matrix(u, k)[0, k]) <= np.sqrt(2.0 * k + 1.0) + 1e-9
+
+
+@pytest.mark.parametrize("m, n", [(1, 4096), (341, 12)])
+def test_tensor_sums_at_bound_20_split_the_product(m, n):
+    # one step of rows each: the whole (m, 21 * 21, rows) product took 15.9 MB
+    # at (1, 4096) and 18.2 MB at (341, 12); split at whole rows k of the
+    # table, its temporaries stay near _PRODUCT_CELLS cells, and every entry
+    # sums the same terms in the same order as from the whole product
+    rng = np.random.default_rng(m)
+    w, P, Q = rng.random((m, n)), rng.standard_normal((m, n, 21)), rng.standard_normal((m, n, 21))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        got = tensor_sums(w, P, Q)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * _PRODUCT_CELLS
+    p, q = (np.ascontiguousarray(f.transpose(0, 2, 1)) for f in (P, Q))
+    whole = (p[:, :, None, :] * q[:, None, :, :]).reshape(m, 21 * 21, n)
+    np.testing.assert_array_equal(got, np.einsum("mi,mci->mc", w, whole).reshape(m, 21, 21))

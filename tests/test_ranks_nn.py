@@ -421,12 +421,20 @@ def chunk_sets(n):
 
 def crossing_batch(n):
     """A batch of sets of n points that crosses two chunk boundaries of each
-    scan they take: the tiles or the whole-set scan and, from _BAND_MIN_N up,
-    the diagonal band."""
-    sets = chunk_sets(n)
-    if n >= _BAND_MIN_N:
-        sets = max(sets, _DIAGONAL_CELLS // (_reach(n) * n))
-    return 2 * sets + 1
+    scan they take: the tiles or the whole-set scan, and the diagonal band."""
+    return 2 * max(chunk_sets(n), _DIAGONAL_CELLS // (_reach(n) * n)) + 1
+
+
+def first_brute(x, y):
+    """The brute oracle's first distances of the sets (x, y), its arithmetic
+    on 64 sets at a time."""
+    out, i = np.empty(y.shape), np.arange(x.size)
+    for a in range(0, len(y), 64):
+        dx, dy = x[:, None] - x, y[a : a + 64, :, None] - y[a : a + 64, None, :]
+        d2 = dx * dx + dy * dy
+        d2[:, i, i] = np.inf
+        out[a : a + 64] = np.sqrt(d2.min(axis=2))
+    return out
 
 
 def unsettled_set(n):
@@ -484,8 +492,9 @@ class TestBand:
         assert sum(full_rows) == 2 * n
 
     def test_first_distances_take_the_diagonal_band(self, monkeypatch):
-        # from _BAND_MIN_N up to the tree, nearest_distances takes the diagonal
-        # band and never the tiles; two_nearest_neighbors keeps the tiles
+        # at every n below the tree, nearest_distances takes the diagonal band
+        # and never the tiles or the whole-set scan; two_nearest_neighbors
+        # keeps the tiles, one spanning each set below _BAND_MIN_N
         seen = []
         diagonal, scan = ranks_nn._nearest_diagonal, ranks_nn._nearest_squared
 
@@ -493,25 +502,53 @@ class TestBand:
             seen.append(("diagonal", x.size))
             return diagonal(x, y)
 
-        def spy_scan(x, y, two):
-            seen.append(("tiles" if _band(x.size)[3] is not None else "whole", x.size, two))
-            return scan(x, y, two)
+        def spy_scan(x, y):
+            seen.append(("tiles" if _band(x.size)[3] is not None else "whole", x.size))
+            return scan(x, y)
 
         monkeypatch.setattr(ranks_nn, "_nearest_diagonal", spy_diagonal)
         monkeypatch.setattr(ranks_nn, "_nearest_squared", spy_scan)
         rng = np.random.default_rng(19)
-        for n in (12, _BAND_MIN_N - 1, _BAND_MIN_N, 500, _TREE_MIN_N - 1):
+        sizes = (2, 3, 12, _BAND_MIN_N - 1, _BAND_MIN_N, 500, _TREE_MIN_N - 1)
+        for n in sizes:
             nearest_distances(*rand_sets(rng, n, 3, "uniform"))
-        assert seen == [
-            ("whole", 12, False),
-            ("whole", _BAND_MIN_N - 1, False),
-            ("diagonal", _BAND_MIN_N),
-            ("diagonal", 500),
-            ("diagonal", _TREE_MIN_N - 1),
-        ]
+        assert seen == [("diagonal", n) for n in sizes]
         seen.clear()
-        two_nearest_neighbors(*rand_sets(rng, 500, 3, "uniform"))
-        assert seen == [("tiles", 500, True)]
+        for n in (12, 500):
+            two_nearest_neighbors(*rand_sets(rng, n, 3, "uniform"))
+        assert seen == [("whole", 12), ("tiles", 500)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 12, 100, 167])
+    def test_first_distances_below_the_tiles(self, n):
+        # the diagonal band below the tiles, on single sets and on batches that
+        # cross two of its chunk boundaries. From n = 6 down the reach is
+        # n - 1 (uncapped, ceil(1.8 sqrt(n)) >= n from n = 5 down): the band
+        # holds every pair, so no row is left to a whole-set scan
+        assert (_reach(n) == n - 1) == (n <= 6)
+        rng = np.random.default_rng(n)
+        for style in ("uniform", "gaussian", "clustered", "duplicates"):
+            x, y = rand_sets(rng, n, crossing_batch(n), style)
+            ref = first_brute(x, y)
+            np.testing.assert_array_equal(ref[:3], [brute(pts)[1] for pts in as_points(x, y[:3])])
+            np.testing.assert_array_equal(nearest_distances(x, y), ref)
+            np.testing.assert_array_equal(nearest_distances(x, y[1]), ref[1])
+
+    @pytest.mark.parametrize("n", [40, 100, 167])
+    def test_first_distances_with_every_row_unsettled(self, n, monkeypatch):
+        # every row falls back to a scan of its whole set, once: from n = 40
+        # up, each row has a rank past its band, R(n) + 1 away
+        rows = []
+        squared = ranks_nn._squared
+
+        def spy(dx2, yr, yc, out):
+            if out.ndim == 2:
+                rows.append(len(out))
+            return squared(dx2, yr, yc, out)
+
+        monkeypatch.setattr(ranks_nn, "_squared", spy)
+        x, y = unsettled_set(n)
+        np.testing.assert_array_equal(nearest_distances(x, y)[0], brute(as_points(x, y)[0])[1])
+        assert sum(rows) == n
 
     @pytest.mark.parametrize("two", [False, True])
     def test_each_unsettled_row_scanned_once(self, monkeypatch, two):
@@ -643,7 +680,7 @@ def test_distance_buffer_starts_on_a_cache_line(m, n, monkeypatch):
     # a scan over a buffer 16 to 48 bytes past a 64-byte boundary ran about
     # 10% slower; every chunk's tile distances and the squared x-gaps added
     # to them start on one, in the tiles (n = 500) and in the whole-set scan,
-    # and so do the diagonal band's block and its x-gaps (n = 500)
+    # and so do the diagonal band's block and its x-gaps at every n
     starts = []
     squared = ranks_nn._squared
 
@@ -657,5 +694,5 @@ def test_distance_buffer_starts_on_a_cache_line(m, n, monkeypatch):
     x, y = np.sort(rng.random(n)), rng.random((m, n))
     nearest_distances(x, y)
     two_nearest_neighbors(x, y)
-    assert {s[0] for s in starts} == ({3, 4} if n >= _BAND_MIN_N else {4})
+    assert {s[0] for s in starts} == {3, 4}
     assert {s[1:] for s in starts} == {(0, 0)}
