@@ -14,7 +14,10 @@ from .errors import CapabilityError, DomainError
 
 MAX_DEGREE = 20
 # observations one batched step holds: the block size of estimate_batch and of the
-# resampling procedures, and the rows of a tensor_sums step; temporaries stay near 1 MB
+# resampling procedures, and the rows of a step of a tensor_sums call and of the
+# cross-validation and fixed-cutoff coefficient tables, so temporaries stay near 1 MB
+# also within one large sample: a warm select_cutoffs at n = 50,000 peaked at 3.7 MB
+# under tracemalloc, against 14.0 MB from whole-sample design tables and products
 BATCH_POINTS = 1 << 12
 # product cells a tensor_sums step holds: at bound 20 and n = 4,096 a call peaked at 5.6 MB
 _PRODUCT_CELLS = 1 << 18
@@ -59,18 +62,19 @@ def _rank_table(n, degree):
     return table
 
 
-def design_at(u, degree):
+def design_at(u, degree, n=None):
     """``design_matrix`` at u (..., n), where u is float; where u holds integer
     ranks 1..n instead, the rows of a per-n table at the rank points r/(n+1),
     taken by rank: the same values bit for bit, without the recurrence. At
     degree 3, per n = 500 block of 8 samples, the recurrence took 145 us, a
     fancy-index gather 51 us and the take 8 us; at n = 50,000 and degree 5,
-    3.9 ms against 0.41 ms for the take (2-core VM).
+    3.9 ms against 0.41 ms for the take (2-core VM). u may hold some of a
+    sample's ranks, such as one row step's, if n gives the sample's size.
     """
     u = np.asarray(u)
     if u.dtype.kind not in "iu":
         return design_matrix(u, degree)
-    n = u.shape[-1]
+    n = u.shape[-1] if n is None else n
     if u.min() < 1 or u.max() > n:
         raise DomainError(f"integer ranks must lie in 1..{n}")
     return _rank_table(n, degree).take(u - 1, axis=0)
@@ -99,3 +103,33 @@ def tensor_sums(weights, P, Q):
             out[:, k * lp : (k + per) * lp] += np.einsum("mi,mci->mc", w[:, i : i + BATCH_POINTS], prod)
     return out.reshape((*batch, kp, lp))
 
+
+def _step_sums(points, rw, kmax, lmax, pair=None):
+    """``tensor_sums`` of rw against the basis rows of points (..., n, 2), or of
+    their integer ranks, built one BATCH_POINTS-row step at a time. With pair =
+    (g, at), also the sums of rw * rw against the squared rows, and of g against
+    each point's rows times those of the point at flat index at over the batch.
+    Each step takes the rows of its points, and of their partners, which may lie
+    in another step, and adds its sums where ``tensor_sums`` adds its own steps,
+    so the tables equal whole-sample ``tensor_sums`` calls bit for bit without a
+    whole-sample design table or product; a sample of one step is one call each.
+    """
+    n = points.shape[-2]
+    flat = points.reshape(-1, 2)
+    sums = None
+    for i in range(0, n, BATCH_POINTS):
+        s = slice(i, i + BATCH_POINTS)
+        P = design_at(points[..., s, 0], kmax, n)
+        Q = design_at(points[..., s, 1], lmax, n)
+        r = rw[..., s]
+        step = [tensor_sums(r, P, Q)]
+        if pair is not None:
+            g, at = pair
+            step.append(tensor_sums(r * r, P * P, Q * Q))
+            # the last use of P and Q: multiplying in place holds peak memory down
+            near = flat.take(at[..., s], axis=0)
+            P *= design_at(near[..., 0], kmax, n)
+            Q *= design_at(near[..., 1], lmax, n)
+            step.append(tensor_sums(g[..., s], P, Q))
+        sums = step if sums is None else [total + part for total, part in zip(sums, step)]
+    return sums

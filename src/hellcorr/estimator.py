@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BATCH_POINTS, MAX_DEGREE, design_at, tensor_sums
+from .basis import BATCH_POINTS, MAX_DEGREE, _step_sums
 from .cv import CvResult, cutoff_grid, select_cutoffs
 from .errors import ConfigError, DegenerateDataError, DomainError, _integer
 from .ranks_nn import (
@@ -144,7 +144,7 @@ def beta_hat_table(points, nn_values, K, L, weights=None):
     rw = v if weights is None else v * np.asarray(weights, dtype=float)
     n = pts.shape[-2]
     cn = 2.0 * math.sqrt(n - 1.0) / n
-    return cn * tensor_sums(rw, design_at(pts[..., 0], K), design_at(pts[..., 1], L))
+    return cn * _step_sums(pts, rw, K, L)[0]
 
 
 def normalize_b(beta):

@@ -401,9 +401,14 @@ def _two_nearest_tree(pts):
 
     n = pts.shape[0]
     dist, idx = cKDTree(pts).query(pts, k=3)
+    own = np.arange(n)
+    if (idx[:, 0] == own).all():
+        # every point is its own first neighbour, as always in the rank frame,
+        # whose x row strictly increases: the tree's columns 1 and 2, uncopied
+        return idx[:, 1], dist[:, 1], dist[:, 2]
     # drop the point itself; where coincident copies crowd it out of the three
     # returned, all three are at distance 0 and dropping the first is as good
-    drop = (idx == np.arange(n)[:, None]).argmax(axis=1)
+    drop = (idx == own[:, None]).argmax(axis=1)
     keep = np.arange(3) != drop[:, None]
     d = dist[keep].reshape(n, 2)
     return idx[keep].reshape(n, 2)[:, 0], d[:, 0], d[:, 1]

@@ -2,6 +2,9 @@
 
 Each is written the direct way, one sample at a time, and shares no code
 path with the package beyond the Beta(6,6) functions and the error it imports.
+The whole-sample coefficient tables are the exception: they build the basis
+and its products for the whole sample at once and sum them through the
+package's ``tensor_sums``, so that they pin the row steps bit for bit.
 """
 
 import math
@@ -10,6 +13,7 @@ from zlib import crc32
 
 import numpy as np
 
+from hellcorr.basis import design_at, tensor_sums
 from hellcorr.errors import SizeError
 from hellcorr.transform import beta66_pdf, beta66_quantile
 
@@ -122,3 +126,35 @@ def peano_two_pass(n, d, rng):
     x = x + 3.0 ** -((d + 1) // 2) * np.where(even_sum % 2 == 1, 1.0 - res, res)
     y = y + 3.0 ** -(d // 2) * np.where(odd_sum % 2 == 1, 1.0 - res, res)
     return np.column_stack((x, y))
+
+
+def whole_sample_cell_tables(points, nn, kmax, lmax, weights=None):
+    """The cross-validation coefficient and cross-term tables of points
+    (..., n, 2), or of their integer ranks, from whole-sample design tables
+    and their products: one ``tensor_sums`` call per term."""
+    n = points.shape[-2]
+    w = 1.0 if weights is None else np.asarray(weights, dtype=float)
+    at = nn.index + np.arange(0, nn.index.size, n).reshape(*nn.index.shape[:-1], 1)
+    rw = nn.values * w
+    g = (nn.second - nn.values) * w * rw.take(at)
+    P = design_at(points[..., 0], kmax)
+    Q = design_at(points[..., 1], lmax)
+    tf = tensor_sums(rw, P, Q)
+    t2 = tensor_sums(rw * rw, P * P, Q * Q)
+    near_p = P.reshape(-1, kmax + 1).take(at, axis=0)
+    near_q = Q.reshape(-1, lmax + 1).take(at, axis=0)
+    t3 = tensor_sums(g, P * near_p, Q * near_q)
+    cn = 2.0 * math.sqrt(n - 1.0) / n
+    cn1 = 2.0 * math.sqrt(n - 2.0) / (n - 1.0)
+    return cn * tf, cn * cn1 * (tf * tf - t2 + t3)
+
+
+def whole_sample_beta_hat_table(points, nn_values, K, L, weights=None):
+    """The fixed-cutoff coefficient table of points (..., n, 2), or of their
+    integer ranks, from whole-sample design tables in one ``tensor_sums`` call."""
+    rw = np.asarray(nn_values, dtype=float)
+    if weights is not None:
+        rw = rw * weights
+    n = points.shape[-2]
+    cn = 2.0 * math.sqrt(n - 1.0) / n
+    return cn * tensor_sums(rw, design_at(points[..., 0], K), design_at(points[..., 1], L))

@@ -55,6 +55,16 @@ def test_rank_rows_equal_the_recurrence_bitwise():
             design_at(np.array(bad), 2)
 
 
+def test_rank_rows_of_a_step_read_the_sample_table():
+    # a step's ranks, shorter than the sample, read the table of the sample's
+    # n, which still refuses ranks outside 1..n
+    step = np.array([[9, 4], [1, 7]])
+    np.testing.assert_array_equal(design_at(step, 3, 9), design_matrix(step / 10.0, 3))
+    for bad in ([0, 4], [4, 10]):
+        with pytest.raises(DomainError):
+            design_at(np.array(bad), 3, 9)
+
+
 def test_domain_checks():
     with pytest.raises(DomainError):
         design_matrix(np.array([-0.01]), 3)
