@@ -75,9 +75,9 @@ def build_parser():
 
 
 def load_table_file(path):
-    """Read a 2-column numeric table; first line sniffed for a header."""
+    """Read a 2-column UTF-8 table (any byte-order mark dropped); first line sniffed for a header."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None

@@ -11,7 +11,8 @@ One set of per-cell tables up to (kmax, lmax), for one sample or a batch,
 scores every pair; the score of one pair is its entry of that grid. Each
 cell is a ``basis.tensor_sums`` entry, which does not depend on the table's
 size, and each block total is an exactly rounded sum. So the (K, L) corner
-of the coefficient table is the fixed-cutoff table at (K, L), and the
+of the coefficient table is the fixed-cutoff table at (K, L), its A2 entry
+is that table's squared norm, by which the estimator normalizes, and the
 coordinate-swapped problem gives the transposed grid, bit for bit.
 
 The tables, and the fixed-cutoff table of ``estimator.beta_hat_table``, are
@@ -37,15 +38,15 @@ from .errors import ConfigError, SizeError
 
 @dataclass(frozen=True)
 class CvResult:
-    """Selected cutoff pair, the full score grid and coefficient table beta.
-
-    For a batch, best lists one pair per sample; scores and beta lead with
-    the batch axis.
+    """Selected cutoff pair, the full score grid, coefficient table beta and
+    norm2, the exactly rounded squared norm of beta's selected corner. For a
+    batch, best lists one pair per sample and the arrays lead with its axis.
     """
 
     best: tuple
     scores: np.ndarray
     beta: np.ndarray = field(repr=False)
+    norm2: np.ndarray = field(repr=False)
 
 
 def _cell_tables(points, nn, kmax, lmax, weights):
@@ -93,17 +94,13 @@ def admissible(K, L, kmax, lmax):
 @lru_cache(maxsize=8)
 def cutoff_grid(kmax, lmax):
     """The admissible cutoff pairs up to (kmax, lmax) in order of preference
-    (the smaller K + L, then the smaller K), their K and their L as index
-    arrays, and the corner masks: [K, L] of the (kmax + 1, lmax + 1,
-    kmax + 1, lmax + 1) bools is true on [:K+1, :L+1]. Read-only."""
+    (the smaller K + L, then the smaller K), and their K and their L as
+    read-only index arrays."""
     pairs = [(K, s - K) for s in range(kmax + lmax + 1) for K in range(min(s, kmax) + 1)]
     pairs = tuple((K, L) for K, L in pairs if L <= lmax and admissible(K, L, kmax, lmax))
     ks, ls = np.array(pairs).T
-    K, L, k, l = np.ogrid[: kmax + 1, : lmax + 1, : kmax + 1, : lmax + 1]
-    corners = (k <= K) & (l <= L)
-    for a in (ks, ls, corners):
-        a.flags.writeable = False
-    return pairs, ks, ls, corners
+    ks.flags.writeable = ls.flags.writeable = False
+    return pairs, ks, ls
 
 
 def select_cutoffs(points, nn, kmax=5, lmax=5, weights=None):
@@ -120,8 +117,10 @@ def select_cutoffs(points, nn, kmax=5, lmax=5, weights=None):
     if points.shape[-2] < 3:
         raise SizeError("cross-validation needs at least 3 observations")
     beta, cross = _cell_tables(points, nn, kmax, lmax, weights)
-    scores = _corner_sums(beta * beta) - 2.0 * _corner_sums(cross)
-    pairs, ks, ls, _ = cutoff_grid(kmax, lmax)
+    a2 = _corner_sums(beta * beta)
+    scores = a2 - 2.0 * _corner_sums(cross)
+    pairs, ks, ls = cutoff_grid(kmax, lmax)
     picks = np.argmin(scores[..., ks, ls], axis=-1)  # the first minimum: the preferred pair
     best = pairs[picks] if picks.ndim == 0 else [pairs[i] for i in picks]
-    return CvResult(best=best, scores=scores, beta=beta)
+    norm2 = np.take_along_axis(a2[..., ks, ls], picks[..., None], -1)[..., 0]
+    return CvResult(best=best, scores=scores, beta=beta, norm2=norm2)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import BATCH_POINTS, MAX_DEGREE, _step_sums
-from .cv import CvResult, cutoff_grid, select_cutoffs
+from .cv import CvResult, select_cutoffs
 from .errors import ConfigError, DegenerateDataError, DomainError, _integer
 from .ranks_nn import (
     TwoNearest, as_sample, as_samples, column_ranks, nearest_distances, pseudo_observations,
@@ -148,20 +148,25 @@ def beta_hat_table(points, nn_values, K, L, weights=None):
 
 
 def normalize_b(beta):
-    """Ratio of the constant coefficient to the coefficient norm.
+    """Ratio of the constant coefficient to the norm of a fixed-cutoff table.
 
     The ratio estimates B and lands in [0, 1] by construction because the
     constant coefficient is one term of the norm. Leading batch axes of
     beta carry through. Each norm is an exactly rounded sum, which does not
-    depend on the order of the table's entries.
+    depend on the order of the table's entries (``CvResult.norm2`` too).
     """
     beta = np.asarray(beta, dtype=float)
     cells = (beta * beta).reshape(-1, beta.shape[-2] * beta.shape[-1]).tolist()
-    total = np.array([math.fsum(c) for c in cells]).reshape(beta.shape[:-2])
-    if np.any(total == 0.0):
-        raise DegenerateDataError("all basis coefficients vanish")
-    out = beta[..., 0, 0] / np.sqrt(total)
+    norm2 = np.array([math.fsum(c) for c in cells]).reshape(beta.shape[:-2])
+    out = _over_norm(beta[..., 0, 0], norm2)
     return out if out.ndim else float(out)
+
+
+def _over_norm(b, norm2):
+    """b over the square root of norm2, refusing a zero norm."""
+    if np.any(norm2 == 0.0):
+        raise DegenerateDataError("all basis coefficients vanish")
+    return b / np.sqrt(norm2)
 
 
 def _rank_coordinates(ranks, transform):
@@ -214,22 +219,17 @@ def _estimable(samples):
 def _estimate_core(ranks, cfg):
     """Raw and normalized B, cutoffs and CV result of m samples' ranks (m, n, 2).
 
-    Under cross-validation each sample keeps the (K, L) corner of the CV
-    coefficient table, the fixed-cutoff table, and zeros beyond it, which
-    leave its exactly rounded norm as it is. When (0, 0) is the only pair on
-    offer the raw sum, capped at 1, stands in for the normalized one. The
-    nearest-neighbour scan gets each sample in its rank frame (``_nearest``):
-    the x-order is the inverse of the x-ranks, and the x row the samples share
-    is the coordinates of the ranks 1..n.
+    Under cross-validation each sample's norm is the one its selection read
+    (``CvResult.norm2``). When (0, 0) is the only pair on offer the raw sum,
+    capped at 1, stands in for the normalized one. The nearest-neighbour scan
+    gets each sample in its rank frame (``_nearest``): the x-order is the
+    inverse of the x-ranks, and the x row the samples share is the
+    coordinates of the ranks 1..n.
     """
     coord, wts = _rank_coordinates(ranks, cfg.transform)
     if cfg.cutoffs is None:
-        nn = _nearest(ranks, coord, True)
-        cv = select_cutoffs(ranks, nn, cfg.kmax, cfg.lmax, weights=wts)
-        cutoffs = cv.best
-        K, L = np.reshape(cutoffs, (-1, 2)).T
-        *_, corners = cutoff_grid(cfg.kmax, cfg.lmax)
-        beta = np.where(corners[K, L], cv.beta, 0.0)
+        cv = select_cutoffs(ranks, _nearest(ranks, coord, True), cfg.kmax, cfg.lmax, weights=wts)
+        cutoffs, beta = cv.best, cv.beta
     else:
         cv = None
         cutoffs = [cfg.cutoffs] * len(ranks)
@@ -237,7 +237,7 @@ def _estimate_core(ranks, cfg):
     braw = beta[:, 0, 0]
     if (cfg.cutoffs or (cfg.kmax, cfg.lmax)) == (0, 0):
         return braw, np.minimum(braw, 1.0), cutoffs, cv
-    return braw, normalize_b(beta), cutoffs, cv
+    return braw, normalize_b(beta) if cv is None else _over_norm(braw, cv.norm2), cutoffs, cv
 
 
 def estimate(sample, config=None, jitter_seed=None):
@@ -247,7 +247,7 @@ def estimate(sample, config=None, jitter_seed=None):
     pseudo = pseudo_observations(arr, jitter_seed=jitter_seed)
     braw, bnorm, cutoffs, cv = _estimate_core(pseudo.ranks[None], cfg)
     if cv is not None:
-        cv = CvResult(best=cv.best[0], scores=cv.scores[0], beta=cv.beta[0])
+        cv = CvResult(best=cv.best[0], scores=cv.scores[0], beta=cv.beta[0], norm2=cv.norm2[0])
     return EstimateResult(
         b_raw=float(braw[0]),
         b_normalized=float(bnorm[0]),

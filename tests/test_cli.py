@@ -85,6 +85,19 @@ class TestEstimateCommand:
         assert code == 0
         assert json.loads(out)["n"] == 40
 
+    @pytest.mark.parametrize("header", [None, "x,y"])
+    def test_byte_order_mark(self, capsys, tmp_path, header):
+        # a UTF-8 byte-order mark before the first row is not part of it, so a
+        # numeric first row stays a data row and a header is still skipped
+        f = tmp_path / "bom.csv"
+        arr = write_sample(f, n=40, header=header)
+        f.write_bytes(b"\xef\xbb\xbf" + f.read_bytes())
+        code, out, err = run_cli(capsys, "estimate", "--input", str(f))
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["n"] == 40
+        assert doc["eta"] == estimate(arr).eta
+
     def test_fixed_cutoffs(self, capsys):
         code, out, _ = run_cli(
             capsys, "estimate", "--generator", "gaussian:rho=0.5", "--n", "100",

@@ -19,7 +19,7 @@ from hellcorr.estimator import (
     pearson,
 )
 from hellcorr.generators import gen_gaussian
-from hellcorr.ranks_nn import column_ranks, pseudo_observations
+from hellcorr.ranks_nn import TwoNearest, column_ranks, pseudo_observations
 from oracles import b_hat_raw, transform_points
 from points_nn import nn_of_points
 
@@ -322,6 +322,25 @@ class TestEstimateBatch:
                 assert [(L, K) for K, L in picks] == core_cutoffs(samples[:, :, ::-1], swapped_cfg)
                 assert len(set(picks)) > 1
 
+    @pytest.mark.parametrize("n", [12, 167, 168, 500, 1024])
+    def test_cross_validated_estimate_equals_fixed_at_its_pair(self, n):
+        # a cross-validated estimate divides by the norm its selection read
+        # from the score grid; that norm is the fixed-cutoff table's, so the
+        # estimate is the fixed-cutoff one at the selected pair, bit for bit,
+        # from the whole-set scan (n < 168), the tiles and the k-d tree alike
+        rng = np.random.default_rng(48 + n)
+        samples = rng.normal(size=(6, n, 2))
+        samples[::2, :, 1] += rng.uniform(0.0, 2.0, size=(3, 1)) * samples[::2, :, 0] ** 2
+        for transform in ("beta66", "none"):
+            cfg = EstimateConfig(transform=transform)
+            etas = estimate_batch(samples, cfg)
+            for x, pick, eta in zip(samples, core_cutoffs(samples, cfg), etas):
+                fixed_cfg = EstimateConfig(cutoffs=pick, transform=transform)
+                got, want = estimate(x, cfg), estimate(x, fixed_cfg)
+                assert got.cutoffs == pick
+                assert (got.b_raw, got.b_normalized, got.eta) == (want.b_raw, want.b_normalized, want.eta)
+                assert eta == estimate_batch(x[None], fixed_cfg)[0] == want.eta
+
     def test_rejects_misshaped_samples(self):
         samples = np.random.default_rng(44).random((3, 10, 2))
         fixed = EstimateConfig(cutoffs=(1, 1))
@@ -349,6 +368,22 @@ class TestEstimateBatch:
             estimate_batch(samples, EstimateConfig(cutoffs=(2, 2)))
         # raw mode has nothing to normalize: a zero sum gives B = 0, eta = 1
         assert estimate_batch(samples, EstimateConfig(cutoffs=(0, 0)))[1] == 1.0
+
+    def test_coincident_points_raise_under_cross_validation(self, monkeypatch):
+        # as above, for the two nearest neighbours cross-validation reads: one
+        # replicate's selected corner then has a zero norm
+        def coincide_in_second(x, y):
+            nn = real(x, y)
+            values, second = nn.values.copy(), nn.second.copy()
+            values[1] = second[1] = 0.0
+            return TwoNearest(nn.index, values, second)
+
+        real = estimator_module.two_nearest_neighbors
+        monkeypatch.setattr(estimator_module, "two_nearest_neighbors", coincide_in_second)
+        samples = np.random.default_rng(45).random((3, 20, 2))
+        with pytest.raises(DegenerateDataError, match="coefficients vanish"):
+            estimate_batch(samples, EstimateConfig())
+        assert estimate_batch(samples, EstimateConfig(kmax=0, lmax=0))[1] == 1.0
 
     def test_batched_normalization(self):
         tables = np.array([[[3.0, 4.0]], [[2.0, 0.0]]])
