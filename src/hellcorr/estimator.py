@@ -261,7 +261,7 @@ def estimate(sample, config=None, jitter_seed=None):
     )
 
 
-def estimate_batch(samples, config):
+def estimate_batch(samples, config=None):
     """Etas of m same-size samples (m, n, 2), from the estimation core.
 
     Each eta equals ``estimate(samples[i], config).eta`` bit for bit, at the

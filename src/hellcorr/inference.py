@@ -21,8 +21,9 @@ estimates' table; they take 16 bytes a sample. A ``draw`` callback fills a
 whole block from its slice of the keys, re-keying one generator through
 them (see ``rng``), so every replicate still draws from its own substream.
 ``_beta_copula`` computes the donor rows of a whole block of resamples
-from their streams' raw outputs at once, then makes one ``standard_gamma``
-call per resample: bit for bit the draws of ``integers`` and then
+from their streams' first raw outputs at once, then re-keys each stream,
+reads past those outputs and makes one ``standard_gamma`` call per
+resample: bit for bit the draws of ``integers`` and then
 ``standard_gamma``, at 13 against 21 us a resample of n = 12 (one core of
 a 2-core VM). Each block is one ``estimate_batch``
 call, whether the cutoffs are fixed or cross-validated, and a batched
@@ -57,7 +58,7 @@ from .errors import (
 )
 from .estimator import BATCH_POINTS, EstimateConfig, EstimateResult, estimate, estimate_batch
 from .ranks_nn import as_sample, column_ranks
-from .rng import _integers, _keys, _raw, _streams
+from .rng import _integers, _keys, _streams
 from .version import __version__
 
 _MAGIC = "hellcorr-null-table"
@@ -216,8 +217,10 @@ def _copula_ranks(ranks, ndim):
     if r.ndim not in (2, ndim) or r.shape[-1] != 2 or r.shape[-2] < 2:
         raise SizeError("ranks must be an (n, 2) array with n >= 2")
     n = r.shape[-2]
-    if r.min() < 1 or r.max() > n:
-        raise DomainError("ranks must lie in 1..n")
+    # integer ranks are whole; NaN fails the comparison
+    whole = np.issubdtype(r.dtype, np.integer) or np.all(np.floor(r) == r)
+    if not whole or r.min() < 1 or r.max() > n:
+        raise DomainError("ranks must be whole numbers in 1..n")
     return r, n
 
 
@@ -247,11 +250,14 @@ def _beta_copula(ranks, keys, out):
     ``beta`` draws exactly these two gammas whenever a shape exceeds 1, and
     here the two sum to n + 1 >= 3, so the draws equal those of ``rng.beta``.
 
-    The donors are computed, not drawn: the block reads its streams' first
-    outputs in one pass (``_raw``), maps all their words to donors as
-    ``integers`` would (``_integers``) and takes all their shapes at once,
-    then re-keys each stream past its donor words for its gammas. A stream
-    with a word numpy would redraw draws its donors with ``integers``.
+    The donors are computed, not drawn: ``_integers`` reads the block's
+    streams' first outputs in one pass and maps their words to donors as
+    ``integers`` would, and all their shapes are taken at once. Each stream
+    is then re-keyed and reads past its donors' ceil(n_out / 2) outputs for
+    its gammas. ``integers`` would leave the high half of the last output
+    buffered after an odd count, but ``standard_gamma`` reads whole 64-bit
+    outputs only, so that half never matters. A stream with a word numpy
+    would redraw draws its donors with ``integers``.
     """
     r, n = _copula_ranks(ranks, out.ndim)
     lead, n_out = out.shape[:-2], out.shape[-2]
@@ -259,12 +265,12 @@ def _beta_copula(ranks, keys, out):
     # each stream's table among r's (n, 2) tables
     table = np.broadcast_to(np.arange(math.prod(r.shape[:-2])).reshape(r.shape[:-2]), lead).ravel()
     tables = r.reshape(-1, n, 2)
-    raw = _raw(keys, n_out)
-    donors, redo = _integers(raw, n, n_out)
+    donors, redo = _integers(keys, n, n_out)
     shapes = _gamma_shapes(tables.reshape(-1, 2)[table[:, None] * n + donors], n)
     gammas = np.empty_like(shapes)
-    kept = np.flatnonzero(~redo)
-    for i, rng in zip(kept, _streams(keys[kept], raw[kept], n_out)):
+    kept, used = np.flatnonzero(~redo), (n_out + 1) // 2
+    for i, rng in zip(kept, _streams(keys[kept])):
+        rng.bit_generator.random_raw(used)  # the donors' outputs
         rng.standard_gamma(shapes[i], out=gammas[i])
     for i, rng in zip(np.flatnonzero(redo), _streams(keys[redo])):
         rows = tables[table[i]][rng.integers(0, n, n_out)]

@@ -20,11 +20,12 @@ times the 16 bytes a key it keeps. A stream is its key with the Philox
 counter at zero: ``substream`` builds a Philox from its one key, and
 ``_streams`` re-keys one ``Philox``/``Generator`` pair in place, through
 the public ``state`` setter, with each key of a block's slice of those
-keys instead of building a generator per stream. ``_raw``, ``_integers``
-and ``_streams(keys, raw, words)`` compute a block's ``integers`` draws
-from its streams' raw outputs at once and resume each stream after them.
-A key-built Philox has no ``seed_seq``, so ``Generator.spawn`` on a
-returned stream is unsupported; nothing spawns.
+keys instead of building a generator per stream. ``_integers`` computes a
+block's ``integers`` draws from its streams' first raw outputs at once;
+Philox is counter-based, so a stream that is to go on past those draws is
+re-keyed and reads its first outputs again. A key-built Philox has no
+``seed_seq``, so ``Generator.spawn`` on a returned stream is unsupported;
+nothing spawns.
 """
 
 from zlib import crc32
@@ -115,72 +116,43 @@ def _keys(seed, *path):
     return keys
 
 
-def _raw(keys, words):
-    """The first outputs of each key's stream that hold its first ``words`` 32-bit words.
-
-    ``keys`` is a (..., 2) array of ``_keys``, taken in C order. A 64-bit
-    output holds two words, and Philox makes its outputs in blocks of 4, so
-    the result is (S, 4 * ceil(words / 8)) uint64: whole blocks, as
-    ``_streams`` needs them, each read from its stream with ``random_raw``.
-    """
-    count = 4 * -(-words // 8)
-    rows = [rng.bit_generator.random_raw(count) for rng in _streams(keys)]
-    return np.array(rows, np.uint64).reshape(len(rows), count)
-
-
-def _integers(raw, n, count):
-    """What ``integers(0, n, count)`` draws from streams whose first outputs are raw.
+def _integers(keys, n, count):
+    """What ``integers(0, n, count)`` draws from each stream of a (..., 2) array of ``_keys``.
 
     For n <= 2**32, numpy maps each 32-bit word w of the stream, the
     low half of each output first, to (w * n) >> 32 (Lemire's method), and
     redraws a word whose low 32 bits of w * n lie below (2**32 - n) % n.
-    Returns the (S, count) integers the first count words map to, and a
-    boolean (S,) set for each stream on which numpy would redraw one of
-    them, so that its draws differ from these.
+    Each stream's first ceil(count / 2) outputs, the ones those words take,
+    are read with ``random_raw``. Returns the (S, count) integers the first
+    count words map to, keys taken in C order, and a boolean (S,) set for
+    each stream on which numpy would redraw one of them, so that its draws
+    differ from these.
     """
     used = (count + 1) // 2
+    rows = [rng.bit_generator.random_raw(used) for rng in _streams(keys)]
+    raw = np.array(rows, np.uint64).reshape(len(rows), used)
     words = np.empty((len(raw), used, 2), np.uint64)
-    np.bitwise_and(raw[:, :used], np.uint64(_MASK), out=words[..., 0])
-    np.right_shift(raw[:, :used], np.uint64(32), out=words[..., 1])
+    np.bitwise_and(raw, np.uint64(_MASK), out=words[..., 0])
+    np.right_shift(raw, np.uint64(32), out=words[..., 1])
     scaled = words.reshape(len(raw), -1)[:, :count] * np.uint64(n)
     redo = np.any((scaled & np.uint64(_MASK)) < (2**32 - n) % n, axis=1)
     return (scaled >> np.uint64(32)).astype(np.intp), redo
 
 
-def _streams(keys, raw=None, words=0):
+def _streams(keys):
     """Yield the Generator of each key of a (..., 2) array of ``_keys``, in C order.
 
     One Philox is re-keyed in place, through the public ``state`` setter,
-    so the generator yielded for a key draws from that key's stream only
-    until the next is taken. Each stream starts at its first output, unless
-    ``words`` is given: then it starts in the state ``integers`` leaves it
-    in once it has drawn that many 32-bit words without a redraw, two to an
-    output, low half first. That state (counter, buffer of 4 outputs, high
-    half) is read off the key's row of ``raw``, from ``_raw(keys, words)``.
+    so the generator yielded for a key draws from that key's stream, from
+    its first output, only until the next is taken.
     """
     bitgen = np.random.Philox(key=0)
     state = bitgen.state
     # the setter reads lists faster than arrays: 0.5 against 0.9 us a set (2-core VM)
     state["state"]["counter"], state["buffer"] = [0] * 4, [0] * 4
     rng = np.random.Generator(bitgen)
-    keys = np.reshape(keys, (-1, 2)).tolist()
-    if words == 0:
-        for key in keys:
-            state["state"]["key"] = key
-            bitgen.state = state
-            yield rng
-        return
-    used = (words + 1) // 2  # outputs the words take
-    block = -(-used // 4)  # the counter of the block that holds the last of them
-    state["state"]["counter"] = [block, 0, 0, 0]
-    state["buffer_pos"] = used - 4 * (block - 1)
-    state["has_uint32"] = words % 2
-    buffers = raw[:, 4 * (block - 1) : 4 * block].tolist()
-    halves = (raw[:, used - 1] >> np.uint64(32)).tolist()  # buffered, or left behind once read
-    for key, buffer, half in zip(keys, buffers, halves, strict=True):
+    for key in np.reshape(keys, (-1, 2)).tolist():
         state["state"]["key"] = key
-        state["buffer"] = buffer
-        state["uinteger"] = half
         bitgen.state = state
         yield rng
 

@@ -253,6 +253,12 @@ class TestEstimateBatch:
                 for x, eta in zip(samples, got):
                     assert eta == pytest.approx(oracle_eta(x, *cut, transform), abs=1e-12)
 
+    def test_default_config(self):
+        # like estimate, the config defaults to EstimateConfig(): cross-validated cutoffs
+        samples = np.stack([gen_gaussian(30, 0.5, seed=s) for s in (1, 2, 3)])
+        got = estimate_batch(samples)
+        assert got.tobytes() == estimate_batch(samples, EstimateConfig()).tobytes()
+
     def test_independent_of_batch_size(self):
         rng = np.random.default_rng(41)
         for n in (5, 12, 40, 300):

@@ -141,6 +141,23 @@ class TestBetaCopulaSampling:
         bad = np.array([[0, 1], [1, 2]])
         with pytest.raises(DomainError):
             sample_beta_copula(bad, 10, seed=0)
+        # NaN and non-whole ranks (scipy's rankdata of a tied sample) are
+        # refused before any draw, from a seed or a generator alike
+        keys = _keys(0, "inner", np.arange(3))
+        for bad in ([[np.nan, 1], [1, 2]], [[1.5, 2], [1.5, 3.5], [3, 1], [4, 3.5]]):
+            with pytest.raises(DomainError, match="whole"):
+                sample_beta_copula(bad, 2, 0)
+            rng = np.random.default_rng(0)
+            with pytest.raises(DomainError, match="whole"):
+                sample_beta_copula(bad, 2, rng)
+            assert rng.random() == np.random.default_rng(0).random()
+            with pytest.raises(DomainError, match="whole"):
+                _beta_copula(np.asarray(bad), keys, np.empty((3, 2, 2)))
+        # whole-valued float ranks draw what their integer ranks draw
+        ranks = pseudo_observations(gen_gaussian(20, 0.5, seed=2)).ranks
+        np.testing.assert_array_equal(
+            sample_beta_copula(ranks.astype(float), 25, seed=4), sample_beta_copula(ranks, 25, seed=4)
+        )
 
     def test_count_and_seed_validation(self):
         ranks = pseudo_observations(gen_gaussian(20, 0.5, seed=2)).ranks
@@ -205,8 +222,8 @@ class TestBetaCopulaOracle:
     @pytest.mark.parametrize("n", [2, 12])
     def test_streams_flagged_for_redraw_match_oracle(self, n, monkeypatch):
         # every stream drawing its donors with integers: the path a redraw takes
-        def all_flagged(raw, n, count):
-            donors, redo = _integers(raw, n, count)
+        def all_flagged(keys, n, count):
+            donors, redo = _integers(keys, n, count)
             return donors, np.ones_like(redo)
 
         monkeypatch.setattr(inference, "_integers", all_flagged)
@@ -416,16 +433,18 @@ class TestBootstrapCI:
         assert wide.eta == estimate(x).eta
 
     def test_matches_unbatched_reference(self):
-        # several blocks of outer replicates, the last one partial
-        assert 100 % (BATCH_POINTS // (30 * (1 + 5))) != 0
-        x = gen_gaussian(30, 0.6, seed=24)
-        ci = bootstrap_ci(x, b1=100, b2=5, seed=25)
-        lower, upper, se0 = reference_bootstrap(x, 100, 5, 25)
-        assert ci.se == pytest.approx(se0, rel=0, abs=1e-12)
-        assert ci.lower == pytest.approx(min(max(lower, 0.0), 1.0), rel=0, abs=1e-12)
-        assert ci.upper == pytest.approx(min(max(upper, 0.0), 1.0), rel=0, abs=1e-12)
-        base = estimate(x)
-        assert (ci.estimate.eta, ci.estimate.b_raw, ci.estimate.cutoffs) == (base.eta, base.b_raw, base.cutoffs)
+        # several blocks of outer replicates, the last one partial; at odd n
+        # each resample's donors take an odd count of 32-bit words
+        for n in (30, 31):
+            assert 100 % (BATCH_POINTS // (n * (1 + 5))) != 0
+            x = gen_gaussian(n, 0.6, seed=24)
+            ci = bootstrap_ci(x, b1=100, b2=5, seed=25)
+            lower, upper, se0 = reference_bootstrap(x, 100, 5, 25)
+            assert ci.se == pytest.approx(se0, rel=0, abs=1e-12)
+            assert ci.lower == pytest.approx(min(max(lower, 0.0), 1.0), rel=0, abs=1e-12)
+            assert ci.upper == pytest.approx(min(max(upper, 0.0), 1.0), rel=0, abs=1e-12)
+            base = estimate(x)
+            assert (ci.estimate.eta, ci.estimate.b_raw, ci.estimate.cutoffs) == (base.eta, base.b_raw, base.cutoffs)
 
     def test_thread_count_does_not_change_interval(self):
         # five blocks of outer replicates, the last one partial; each block

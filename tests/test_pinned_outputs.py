@@ -52,6 +52,8 @@ NULL_DRAWS = [
 
 # lower, upper, eta, se
 CI = ["0x1.5a8bbb04434bfp-1", "0x1.0000000000000p+0", "0x1.7e3c6b01d8aefp-1", "0x1.d65481486730bp-4"]
+# the same at odd n, where each resample's donors take an odd count of 32-bit words
+CI_ODD = ["0x1.935b54fad019fp-3", "0x1.a4b4f76ac3a4cp-1", "0x1.8fc882cf0b8dfp-2", "0x1.5daa511dfa387p-3"]
 
 
 def assert_pinned(got, want):
@@ -90,3 +92,11 @@ def test_bootstrap_ci():
     ci = hc.bootstrap_ci(hc.seabirds(), b1=20, b2=10, seed=3)
     assert (ci.dropped, ci.estimate.cutoffs) == (0, (1, 1))
     assert_pinned((ci.lower, ci.upper, ci.eta, ci.se), CI)
+
+
+def test_bootstrap_ci_odd_n():
+    x = hc.gen_gaussian(13, 0.6, 24)
+    assert margin(hc.estimate(x)) > MARGIN
+    ci = hc.bootstrap_ci(x, b1=40, b2=5, seed=25)
+    assert (ci.dropped, ci.estimate.cutoffs) == (0, (2, 0))
+    assert_pinned((ci.lower, ci.upper, ci.eta, ci.se), CI_ODD)
